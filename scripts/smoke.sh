@@ -118,16 +118,20 @@ python scripts/bench_gate.py --baseline "$BENCH_OUT" \
 # superblock) must agree bit-for-bit on every simulated statistic —
 # the parity contract the bench suite enforces at full scale,
 # exercised here at smoke scale, with at least one superblock actually
-# built so the tier is known to have engaged.
+# built so the tier is known to have engaged. Both the bare engine and
+# native (the engine's native cost profile, via run_mode) are checked.
 python - <<'EOF'
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
+from repro.harness.runner import run_mode
 from repro.workloads.parsec import build_benchmark
 
-built = 0
+TIERS = ((False, False), (True, False), (True, True))
+built = native_built = 0
 for name in ("blackscholes", "canneal"):
     surfaces = []
-    for cb, sb in ((False, False), (True, False), (True, True)):
+    native = []
+    for cb, sb in TIERS:
         kernel = Kernel(seed=3, quantum=100, jitter=0.1)
         kernel.create_process(
             build_benchmark(name, threads=2, scale=0.2))
@@ -135,13 +139,22 @@ for name in ("blackscholes", "canneal"):
         kernel.run()
         surfaces.append((kernel.counter.total, engine.stats.as_dict(),
                          kernel.counter.snapshot()))
+        result = run_mode(build_benchmark(name, threads=2, scale=0.2),
+                          "native", seed=3, quantum=100, jitter=0.1,
+                          compile_blocks=cb, superblocks=sb)
+        native.append((result.cycles, result.run_stats,
+                       result.cycle_breakdown))
     snapshot = engine.superblock_snapshot() or {}
     built += snapshot.get("superblocks_built", 0)
+    native_built += (result.superblocks or {}).get("superblocks_built", 0)
     assert surfaces[0] == surfaces[1] == surfaces[2], \
         f"{name}: execution-tier surfaces diverge"
+    assert native[0] == native[1] == native[2], \
+        f"{name}: native execution-tier surfaces diverge"
 assert built > 0, "superblock smoke never built a superblock"
+assert native_built > 0, "superblock smoke never built a native superblock"
 print(f"superblock smoke ok: 3-tier surfaces bit-identical, "
-      f"{built} superblock(s) built")
+      f"{built} superblock(s) built, {native_built} native")
 EOF
 
 # Fuzz smoke: a fixed-seed differential campaign over generated

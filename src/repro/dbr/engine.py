@@ -8,7 +8,9 @@ sharing detector (paper §3.4).
 Running under the engine costs: one block build per cold block, one
 dispatch charge per block entry (link stubs / IBL lookups, amortized), and
 whatever the attached hooks charge. This models DynamoRIO's "near native
-once warm" profile — both the FastTrack baseline and Aikido pay it.
+once warm" profile — both the FastTrack baseline and Aikido pay it. The
+native baseline runs on the same engine with the *native cost profile*
+(``native=True``), which charges none of it.
 """
 
 from __future__ import annotations
@@ -52,12 +54,22 @@ class DBREngine(ExecutionDriver):
 
     def __init__(self, kernel, *, trace_threshold: int = 50,
                  process=None, compile_blocks: bool = True,
-                 superblocks: bool = True):
-        super().__init__(kernel)
+                 superblocks: bool = True, native: bool = False,
+                 stats=None):
+        super().__init__(kernel, stats)
         self.process = process if process is not None else kernel.process
         if self.process is None:
             raise RuntimeError("create the process before the engine")
-        self.codecache = CodeCache(self.process.program, kernel.counter,
+        #: Native cost profile: books only what the bare CPU and kernel
+        #: book, so no dispatch/build/flush/trace charge and no
+        #: residency overhead (none of them reaches the cycle
+        #: breakdown, not even as a zero). A native engine serves a
+        #: :class:`~repro.guestos.driver.NativeDriver`, which owns the
+        #: kernel registration and passes its ``stats`` to every
+        #: per-process engine it builds.
+        self.native = native
+        self.codecache = CodeCache(self.process.program,
+                                   None if native else kernel.counter,
                                    trace_threshold=trace_threshold)
         self.tool: Optional[Tool] = None
         #: Installed by AikidoSD: callable(thread, SignalInfo) ->
@@ -79,7 +91,7 @@ class DBREngine(ExecutionDriver):
             self.superblock_cache = None
         #: Per-instruction residency overhead of the installed stack;
         #: plain DynamoRIO by default, raised by AikidoSD on install.
-        self.overhead_per_instr = costs.DBR_BASE_PER_INSTR
+        self.overhead_per_instr = 0 if native else costs.DBR_BASE_PER_INSTR
         #: Chaos injector, attached by ChaosInjector.attach (None = off).
         self.chaos = None
         #: Observability tracer, attached by AikidoSystem (None = off).
@@ -92,7 +104,8 @@ class DBREngine(ExecutionDriver):
         self.elision_plan = None
         self._elision_retired: set = set()
         self._elision_cell = [0, 0]
-        kernel.set_driver(self, self.process)
+        if not native:
+            kernel.set_driver(self, self.process)
 
     # ------------------------------------------------------------------
     # configuration
@@ -267,6 +280,7 @@ class DBREngine(ExecutionDriver):
         cur_bi = -1
         cached = None
         overhead = self.overhead_per_instr
+        dispatch = None if self.native else costs.BLOCK_DISPATCH
         while executed < budget:
             if not thread.runnable:
                 return "exited" if thread.exited else "blocked"
@@ -275,7 +289,8 @@ class DBREngine(ExecutionDriver):
                 self._cache_dirty = False
                 cached = codecache.get(bi)
                 cur_bi = bi
-                counter.charge("dbr", costs.BLOCK_DISPATCH)
+                if dispatch is not None:
+                    counter.charge("dbr", dispatch)
             ii = pc[1]
             if ii >= len(cached.instrs):
                 pc[0] += 1
@@ -368,6 +383,7 @@ class DBREngine(ExecutionDriver):
         #: (fault repairs — actions return the new state directly).
         check_runnable = True
         overhead = self.overhead_per_instr
+        dispatch = None if self.native else costs.BLOCK_DISPATCH
         sb_cache = self.superblock_cache
         #: Hot-path locals for the superblock tier: one dict.get per
         #: fetch for dispatch, and the profiler's edge table accessed
@@ -484,7 +500,8 @@ class DBREngine(ExecutionDriver):
                 self._cache_dirty = False
                 cached = codecache.get(bi)
                 cur_bi = bi
-                counter.charge("dbr", costs.BLOCK_DISPATCH)
+                if dispatch is not None:
+                    counter.charge("dbr", dispatch)
                 compiled = cached.compiled
                 if compiled is None or compiled.overhead != overhead:
                     compiled = self._compile_block(cached, overhead)

@@ -412,8 +412,9 @@ def compile_superblock(members: List, engine) -> SuperBlock:
 
     def account(ind: str, dispatches: int, cyc_: int, icount_: int,
                 mems_: int, elided_: int) -> None:
-        emit(f"{ind}counter.charge('dbr', "
-             f"{dispatches * costs.BLOCK_DISPATCH})")
+        if not engine.native:
+            emit(f"{ind}counter.charge('dbr', "
+                 f"{dispatches * costs.BLOCK_DISPATCH})")
         if cyc_:
             emit(f"{ind}counter.instr_cycles += {cyc_}")
         if icount_:

@@ -81,8 +81,5 @@ class TraceProfiler:
             return None
         return best_dst
 
-    def edge_count(self, src: int, dst: int) -> int:
-        return self._edges.get(src, {}).get(dst, 0)
-
     def __len__(self) -> int:
         return sum(len(per_src) for per_src in self._edges.values())

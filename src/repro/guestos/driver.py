@@ -1,11 +1,13 @@
-"""Execution drivers: the fetch/execute/retire loop.
+"""Execution drivers: what runs a thread for one scheduler quantum.
 
 A driver runs one thread for up to a quantum of instructions, consulting
 the CPU for instruction semantics and the kernel for traps and faults.
-:class:`NativeDriver` executes the program directly (the paper's "native"
-baseline); the DBR engine (:class:`repro.dbr.engine.DBREngine`) implements
-the same interface but fetches through a code cache and runs
-instrumentation hooks.
+The fetch/execute/retire loop lives in the DBR engine
+(:class:`repro.dbr.engine.DBREngine`), which fetches through a code
+cache and runs instrumentation hooks. :class:`NativeDriver` (the paper's
+"native" baseline) runs the same loop with no tool attached and the
+engine's native cost profile, so it books exactly what the bare CPU and
+kernel book.
 
 Fault protocol: a :class:`~repro.machine.paging.PageFault` means the
 instruction did not retire. The driver asks the kernel to repair it
@@ -17,9 +19,7 @@ back.
 
 from __future__ import annotations
 
-from repro.machine.cpu import Action, BASE_COST
-from repro.machine.isa import MEMORY_OPCODES
-from repro.machine.paging import PageFault
+from typing import Dict, Optional
 
 
 class RunStats:
@@ -51,11 +51,11 @@ class RunStats:
 class ExecutionDriver:
     """Common driver machinery; subclasses override the fetch path."""
 
-    def __init__(self, kernel):
+    def __init__(self, kernel, stats: Optional[RunStats] = None):
         self.kernel = kernel
         self.cpu = kernel.cpu
         self.counter = kernel.counter
-        self.stats = RunStats()
+        self.stats = stats if stats is not None else RunStats()
 
     def run(self, thread, budget: int) -> str:
         """Run ``thread`` for at most ``budget`` instructions.
@@ -98,41 +98,32 @@ class ExecutionDriver:
 
 
 class NativeDriver(ExecutionDriver):
-    """Direct interpretation of the static program (no DBR, no tool)."""
+    """The static program with no DBR charges and no tool.
+
+    A per-process dispatcher: each process's quanta run through its own
+    DBR engine (an engine is bound to one program) with the native cost
+    profile, at the given tiers. All engines share this driver's
+    :class:`RunStats` and stay out of ``kernel.drivers``, so every
+    quantum keeps entering through :meth:`run`.
+    """
+
+    def __init__(self, kernel, *, compile_blocks: bool = True,
+                 superblocks: bool = True):
+        super().__init__(kernel)
+        self.compile_blocks = compile_blocks
+        self.superblocks = superblocks
+        #: pid -> that process's native-profile engine, built lazily.
+        self.engines: Dict[int, object] = {}
 
     def run(self, thread, budget: int) -> str:
-        kernel = self.kernel
-        execute = self.cpu.execute
-        counter = self.counter
-        stats = self.stats
-        pc = thread.pc
-        blocks = thread.program.blocks
-        executed = 0
-        while executed < budget:
-            if not thread.runnable:
-                return "exited" if thread.exited else "blocked"
-            block_instrs = blocks[pc[0]].instructions
-            ii = pc[1]
-            if ii >= len(block_instrs):
-                pc[0] += 1
-                pc[1] = 0
-                continue
-            instr = block_instrs[ii]
-            try:
-                res = execute(instr, thread)
-            except PageFault as fault:
-                kernel.repair_fault(thread, fault)
-                continue  # re-execute the faulting instruction
-            op = instr.op
-            counter.instr_cycles += BASE_COST[op]
-            executed += 1
-            stats.instructions += 1
-            if op in MEMORY_OPCODES:
-                stats.memory_refs += 1
-            if res is None:
-                pc[1] = ii + 1
-            elif not self._apply_result(thread, pc, ii, res):
-                return "exited" if thread.exited else "blocked"
-            if kernel.consume_yield():
-                return "yield"
-        return "quantum"
+        process = thread.process
+        engine = self.engines.get(process.pid)
+        if engine is None:
+            # Imported here: repro.dbr.engine imports this module.
+            from repro.dbr.engine import DBREngine
+            engine = self.engines[process.pid] = DBREngine(
+                self.kernel, process=process,
+                compile_blocks=self.compile_blocks,
+                superblocks=self.superblocks, native=True,
+                stats=self.stats)
+        return engine.run(thread, budget)

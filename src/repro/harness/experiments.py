@@ -20,13 +20,7 @@ from repro.core.config import AikidoConfig
 from repro.errors import HarnessError
 from repro.harness.parallel import BatchEntry, Job, JobFailure, ParallelRunner
 from repro.harness.resultcache import ResultCache
-from repro.harness.runner import (
-    MODES,
-    RunResult,
-    run_aikido_fasttrack,
-    run_fasttrack,
-    run_native,
-)
+from repro.harness.runner import MODES, RunResult
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.parsec import PARSEC_BENCHMARKS, get_benchmark
 
@@ -113,39 +107,6 @@ def _mode_jobs(spec: WorkloadSpec, *, threads: int, scale: float,
                 seed=seed, quantum=quantum,
                 config=config if mode == "aikido-fasttrack" else None)
             for mode in MODES]
-
-
-def run_benchmark(spec: WorkloadSpec, *, threads: int = DEFAULT_THREADS,
-                  scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
-                  quantum: int = DEFAULT_QUANTUM,
-                  config: Optional[AikidoConfig] = None,
-                  runner: Optional[ParallelRunner] = None) -> BenchmarkRuns:
-    """Run one benchmark in all three modes.
-
-    Without a ``runner`` the three runs execute inline (works for any
-    spec, registered or not). With one, the triple goes through its
-    cache/pool — the spec must then be a registered benchmark, since
-    worker processes rebuild the program by name. ``config`` shapes the
-    aikido-fasttrack run only (see :func:`_mode_jobs`).
-    """
-    if runner is None:
-        kwargs = dict(seed=seed, quantum=quantum)
-
-        def program():
-            return spec.program(threads=threads, scale=scale)
-
-        return BenchmarkRuns(
-            spec=spec,
-            native=run_native(program(), **kwargs),
-            fasttrack=run_fasttrack(program(), **kwargs),
-            aikido=run_aikido_fasttrack(program(), config=config,
-                                        **kwargs),
-        )
-    native, fasttrack, aikido = runner.run(_mode_jobs(
-        spec, threads=threads, scale=scale, seed=seed, quantum=quantum,
-        config=config))
-    return BenchmarkRuns(spec=spec, native=native, fasttrack=fasttrack,
-                         aikido=aikido)
 
 
 def run_suite(*, threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,

@@ -26,6 +26,7 @@ from repro.core.config import AikidoConfig
 from repro.core.system import AikidoSystem
 from repro.dbr.engine import DBREngine
 from repro.errors import HarnessError
+from repro.guestos.driver import NativeDriver
 from repro.guestos.kernel import Kernel
 from repro.observability.attribution import attribute_cycles
 
@@ -201,15 +202,25 @@ def _engine_run_stats(engine) -> Dict[str, int]:
 
 
 def run_native(program, *, seed: int = 0, quantum: int = 200,
-               jitter: float = 0.1,
+               jitter: float = 0.1, compile_blocks: bool = True,
+               superblocks: bool = True,
                max_instructions: int = _DEFAULT_BUDGET) -> RunResult:
-    """Bare execution: the baseline every slowdown is normalized to."""
+    """Bare execution: the baseline every slowdown is normalized to.
+
+    Runs on the DBR engine's native cost profile at the given tiers;
+    every tier books the same cycles.
+    """
     kernel = Kernel(seed=seed, quantum=quantum, jitter=jitter)
-    kernel.create_process(program)
+    driver = NativeDriver(kernel, compile_blocks=compile_blocks,
+                          superblocks=superblocks)
+    # Installed before the process exists, so it is the default driver.
+    kernel.set_driver(driver)
+    process = kernel.create_process(program)
     kernel.run(max_instructions=max_instructions)
     return RunResult("native", kernel.counter.total,
-                     kernel.driver.stats.as_dict(),
-                     kernel.counter.snapshot())
+                     driver.stats.as_dict(), kernel.counter.snapshot(),
+                     superblocks=driver.engines[process.pid]
+                     .superblock_snapshot())
 
 
 def run_fasttrack(program, *, seed: int = 0, quantum: int = 200,
@@ -305,7 +316,9 @@ def run_mode(program, mode: str, **kwargs) -> RunResult:
     Accepts the union of all three runners' keyword arguments and strips
     the ones the selected mode does not take (``config`` for native and
     fasttrack, ``block_size`` for native), so suite drivers can pass one
-    kwarg set to every mode. For ``aikido-fasttrack``, a bare
+    kwarg set to every mode. ``compile_blocks`` and ``superblocks``
+    select the execution tiers of every mode, native included. For
+    ``aikido-fasttrack``, a bare
     ``block_size``, ``compile_blocks`` or ``superblocks`` is folded into
     the :class:`AikidoConfig`.
     """

@@ -332,10 +332,3 @@ class CPU:
             return HaltAction(instr)
 
         raise InvalidInstructionError(f"cannot execute {instr!r}")
-
-    def effective_address(self, instr: Instruction, thread) -> int:
-        """Compute the app-level effective address of a memory instruction."""
-        mem = instr.mem
-        if mem.base is None:
-            return mem.disp
-        return (thread.regs[mem.base] + mem.disp) & _MASK64

@@ -10,7 +10,7 @@ kernel.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: log2 of the page size; 4 KiB pages as on x86.
 PAGE_SHIFT = 12
@@ -149,9 +149,6 @@ class PageTable:
             raise PageFault(vaddr, is_write=is_write, user_mode=user_mode,
                             reason="protection")
         return (entry.pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
-
-    def mapped_vpns(self) -> Iterator[int]:
-        return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

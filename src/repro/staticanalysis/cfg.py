@@ -200,8 +200,3 @@ class CFG:
         edges = sum(len(s) for s in self.succs)
         return (f"<CFG blocks={len(self.program.blocks)} edges={edges} "
                 f"spawns={len(self.spawn_sites)}>")
-
-
-def build_cfg(program: Program) -> CFG:
-    """Convenience constructor (mirrors the other layers' factories)."""
-    return CFG(program)

@@ -105,34 +105,6 @@ def partition_base(b: ProgramBuilder, dest_reg: int, region_base: int,
     b.add(dest_reg, dest_reg, imm=region_base)
 
 
-def random_word_load(b: ProgramBuilder, base_reg: int, words: int,
-                     state_reg: int = 10, addr_reg: int = 11,
-                     dest_reg: int = 12) -> None:
-    """Load a pseudo-random word from [base, base + words*8)."""
-    b.lcg_offset(addr_reg, state_reg, words)
-    b.add(addr_reg, addr_reg, base_reg)
-    b.load(dest_reg, base=addr_reg, disp=0)
-
-
-def random_word_store(b: ProgramBuilder, base_reg: int, words: int,
-                      value_reg: int = 12, state_reg: int = 10,
-                      addr_reg: int = 11) -> None:
-    """Store ``value_reg`` to a pseudo-random word of the region."""
-    b.lcg_offset(addr_reg, state_reg, words)
-    b.add(addr_reg, addr_reg, base_reg)
-    b.store(value_reg, base=addr_reg, disp=0)
-
-
-def neighbor_partition_base(b: ProgramBuilder, dest_reg: int,
-                            region_base: int, pages_per_thread: int,
-                            n_threads: int, index_reg: int = 1) -> None:
-    """``dest = base + ((index+1) mod T) * partition`` — the halo target."""
-    b.add(dest_reg, index_reg, imm=1)
-    b.mod(dest_reg, dest_reg, imm=n_threads)
-    b.mul(dest_reg, dest_reg, imm=pages_per_thread * PAGE_SIZE)
-    b.add(dest_reg, dest_reg, imm=region_base)
-
-
 def rotating_partition_base(b: ProgramBuilder, dest_reg: int,
                             region_base: int, pages_per_thread: int,
                             n_threads: int, ring: int, counter_reg: int,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import threading
@@ -10,6 +11,8 @@ import pytest
 
 from repro.guestos.kernel import Kernel
 from repro.machine.asm import ProgramBuilder
+from repro.machine.memory import WORD_SIZE
+from repro.machine.paging import PAGE_SIZE
 
 #: Per-test wall-clock ceiling in seconds (0 disables the guard).
 _TEST_TIMEOUT = float(os.environ.get("AIKIDO_TEST_TIMEOUT", "120"))
@@ -62,3 +65,18 @@ def run_native(program, *, seed: int = 0, quantum: int = 50,
     kernel.create_process(program)
     kernel.run()
     return kernel
+
+
+def guest_memory_digest(kernel: Kernel) -> str:
+    """SHA-256 over every word of every process's user regions, read
+    straight from physical memory after the run."""
+    words = kernel.memory._words
+    per_page = PAGE_SIZE // WORD_SIZE
+    digest = hashlib.sha256()
+    for pid, process in sorted(kernel.processes.items()):
+        for region in process.vm.user_regions():
+            for vpn in region.vpns():
+                base = process.page_table.lookup(vpn).pfn * per_page
+                page = [words.get(base + i, 0) for i in range(per_page)]
+                digest.update(repr((pid, vpn, page)).encode())
+    return digest.hexdigest()

@@ -7,7 +7,8 @@ Four layers of evidence:
   injection, and with tracing/metrics on) comparing the full simulated
   surface — cycles, run stats, per-category breakdown, attribution,
   detector profile, hypervisor stats, chaos payload and race reports —
-  across all three execution tiers;
+  across all three execution tiers; native runs add the final guest
+  user memory to the surface;
 * seeded Hypothesis fuzzing over generated multithreaded programs,
   drawing scenarios from the shared ``repro.scengen`` generator (the
   same distributions ``aikido-repro fuzz`` campaigns use);
@@ -23,6 +24,8 @@ Four layers of evidence:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
@@ -33,12 +36,14 @@ from repro.core.config import AikidoConfig
 from repro.dbr.engine import DBREngine
 from repro.errors import InvariantViolationError, ReproError
 from repro.guestos.kernel import Kernel
+from repro.harness import runner
 from repro.harness.runner import build_aikido_system, run_mode
 from repro.machine.asm import ProgramBuilder
 from repro.machine.tlb import TLB
 from repro.scengen.scenario import render
 from repro.scengen.strategies import scenario_irs
 from repro.workloads.parsec import benchmark_names, build_benchmark
+from tests.conftest import guest_memory_digest
 
 PARITY_FIELDS = ("cycles", "run_stats", "cycle_breakdown", "aikido_stats",
                  "hypervisor_stats", "detector_profile", "chaos",
@@ -57,6 +62,22 @@ def surface(result):
 TIER_KNOBS = ((True, True), (True, False), (False, False))
 
 
+def native_surface(program, **kwargs):
+    """:func:`surface` of a native run plus the digest of the guest's
+    final user memory (the kernel is kept by patching the runner's)."""
+    kernels = []
+
+    class KeptKernel(Kernel):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            kernels.append(self)
+
+    with mock.patch.object(runner, "Kernel", KeptKernel):
+        fields = surface(run_mode(program, "native", **kwargs))
+    fields["guest_memory"] = guest_memory_digest(kernels[0])
+    return fields
+
+
 def run_all_tiers(program_factory, mode="aikido-fasttrack", **kwargs):
     """Run superblock, compiled and interpreter tiers; each outcome is
     either a result surface or an exception (hostile chaos runs may
@@ -73,9 +94,12 @@ def run_all_tiers(program_factory, mode="aikido-fasttrack", **kwargs):
             tier_kwargs["compile_blocks"] = compile_blocks
             tier_kwargs["superblocks"] = superblocks
         try:
-            outcomes.append(
-                ("ok", surface(run_mode(program_factory(), mode,
-                                        **tier_kwargs))))
+            if mode == "native":
+                fields = native_surface(program_factory(), **tier_kwargs)
+            else:
+                fields = surface(run_mode(program_factory(), mode,
+                                          **tier_kwargs))
+            outcomes.append(("ok", fields))
         except ReproError as exc:
             outcomes.append(("raised", type(exc).__name__, str(exc)))
     return outcomes
@@ -87,6 +111,14 @@ class TestWorkloadParity:
         superblock, compiled, interp = run_all_tiers(
             lambda: build_benchmark(name, threads=2, scale=0.05),
             seed=2, quantum=100)
+        assert superblock == compiled == interp
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_native_plain_run_bit_identical(self, name):
+        superblock, compiled, interp = run_all_tiers(
+            lambda: build_benchmark(name, threads=2, scale=0.05),
+            mode="native", seed=2, quantum=100)
+        assert superblock[0] == "ok", superblock
         assert superblock == compiled == interp
 
     @pytest.mark.parametrize("name", ["freqmine", "canneal", "vips"])
@@ -135,6 +167,16 @@ class TestWorkloadParity:
 def test_fuzzed_scenarios_fasttrack_parity(ir):
     superblock, compiled, interp = run_all_tiers(
         lambda: render(ir)[0], mode="fasttrack",
+        seed=ir.sched_seed, quantum=ir.quantum, jitter=ir.jitter,
+        max_instructions=300_000)
+    assert superblock == compiled == interp
+
+
+@settings(max_examples=20, deadline=None)
+@given(scenario_irs(chaos=False))
+def test_fuzzed_scenarios_native_parity(ir):
+    superblock, compiled, interp = run_all_tiers(
+        lambda: render(ir)[0], mode="native",
         seed=ir.sched_seed, quantum=ir.quantum, jitter=ir.jitter,
         max_instructions=300_000)
     assert superblock == compiled == interp

@@ -1,6 +1,7 @@
-"""run_mode must accept one shared kwarg set across all three modes,
-and suite aggregation must fail cleanly (not ZeroDivisionError) on an
-empty suite."""
+"""run_mode must accept one shared kwarg set across all three modes
+(the tier keywords reach every mode, native included), and suite
+aggregation must fail cleanly (not ZeroDivisionError) on an empty
+suite."""
 
 import pytest
 
@@ -9,7 +10,8 @@ from repro.errors import HarnessError, WorkloadError
 from repro.harness import experiments
 from repro.harness.runner import MODES, SHARED_KWARGS, run_mode
 from repro.workloads import micro
-from repro.workloads.parsec import benchmark_names, get_benchmark
+from repro.workloads.parsec import (benchmark_names, build_benchmark,
+                                    get_benchmark)
 
 
 def _program():
@@ -48,6 +50,19 @@ class TestSharedKwargDispatch:
 
         wide, narrow = race_blocks(64), race_blocks(4)
         assert wide and narrow and wide != narrow
+
+    def test_native_honours_tier_kwargs(self):
+        # The tier keywords used to be stripped for native, so a native
+        # tier-parity run compared one tier with itself.
+        def run(**tiers):
+            return run_mode(build_benchmark("raytrace", threads=2,
+                                            scale=0.1),
+                            "native", seed=2, quantum=100, **tiers)
+
+        superblock = run()
+        assert superblock.superblocks["superblocks_built"] > 0
+        assert run(superblocks=False).superblocks is None
+        assert run(compile_blocks=False).superblocks is None
 
     def test_conflicting_block_size_and_config_rejected(self):
         with pytest.raises(HarnessError, match="conflicting"):
