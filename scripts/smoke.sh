@@ -20,6 +20,11 @@ for threads in 2 8; do
     python -m repro.harness.cli lint --threads "$threads"
 done
 
+# Dead-definition gate: every function, method and class under
+# src/repro must be referenced somewhere in the source, test, script,
+# benchmark, example or perfbench trees (stdlib AST scan).
+python scripts/dead_defs.py
+
 python - <<'EOF'
 from repro.harness.experiments import run_suite
 from repro.harness.parallel import ParallelRunner

@@ -123,9 +123,6 @@ class AVIOChecker:
         else:
             self._depth[tid] = depth - 1
 
-    def region_of(self, tid: int) -> Optional[int]:
-        return self._region.get(tid)
-
     # ------------------------------------------------------------------
     def on_access(self, tid: int, addr: int, is_write: bool,
                   instr_uid: int = -1) -> None:

@@ -56,8 +56,6 @@ class AikidoConfig:
             conservatively be treated as shared immediately. The
             ablation shows per-thread protection is the paper's key
             enabler — without it nearly everything gets instrumented.
-        trace_threshold: block execution count before trace promotion in
-            the DBR engine.
         chaos: a :class:`~repro.chaos.plan.ChaosPlan` of deterministic
             fault injections to deliver during the run, or None (the
             default) for a chaos-free run. With chaos disabled every
@@ -83,11 +81,12 @@ class AikidoConfig:
             timeline samples (0 = no timeline; the run-end snapshot is
             always available from the stats and cycle counter).
         compile_blocks: run the DBR engine's block-compiled execution
-            tier (see :mod:`repro.dbr.blockcompiler`). On by default;
-            the interpreter tier is the reference and every simulated
-            statistic is bit-identical between the two — this switch
-            only changes host wall-clock speed (and is the escape hatch
-            if it ever doesn't).
+            tier (see :mod:`repro.dbr.blockcompiler`): the engine's one
+            loop runs specialized step lists instead of the generic
+            (interpreter-tier) ones. On by default; the interpreter
+            tier is the reference and every simulated statistic is
+            bit-identical between the two — this switch only changes
+            host wall-clock speed.
         superblocks: run the DBR engine's superblock (trace) tier on top
             of the compiled tier (see :mod:`repro.dbr.superblock`): hot
             block chains selected by the trace profiler are stitched
@@ -115,7 +114,6 @@ class AikidoConfig:
     protect_new_threads: bool = True
     static_prepass: bool = False
     per_thread_protection: bool = True
-    trace_threshold: int = 50
     chaos: Optional[ChaosPlan] = None
     check_invariants: bool = False
     invariant_cadence: int = 50

@@ -43,7 +43,6 @@ class AikidoSystem:
                              quantum=quantum, jitter=jitter)
         self.process = self.kernel.create_process(program)
         self.engine = DBREngine(self.kernel,
-                                trace_threshold=self.config.trace_threshold,
                                 compile_blocks=self.config.compile_blocks,
                                 superblocks=self.config.superblocks)
         if callable(analysis) and not isinstance(analysis,

@@ -1,11 +1,17 @@
-"""Block compiler: specialize cached blocks into Python closures.
+"""Block compiler: turn cached blocks into step lists for the engine.
 
-The interpreter tier (``DBREngine._run_interp``) pays a dict-dispatched
-``CPU.execute`` call, a ``BASE_COST`` lookup, a ``MEMORY_OPCODES`` set
-test and a ``consume_yield`` call for *every* retired instruction. The
-compiled tier pays those costs once, at compile time: when the engine
-first enters a cached block it classifies every position into one of
-three step kinds —
+The engine (:class:`~repro.dbr.engine.DBREngine`) has one fetch/execute
+loop; it runs every cached block through a list of steps, one step per
+instruction position. An execution tier is a choice of step-list form.
+
+The *generic* form (the interpreter tier, ``compile_blocks=False``) has
+one ``GEN`` step at every position: a dict-dispatched ``CPU.execute``,
+the precomputed cycle charge and a ``consume_yield`` call for *every*
+retired instruction. It is the reference semantics.
+
+The *specialized* form (the compiled tier) pays most of those costs
+once, at compile time: when the engine first enters a cached block it
+classifies every position into one of four step kinds —
 
 ``SEG``
     a maximal run of pure-ALU, unhooked instructions (LI/MOV/ADD/SUB/
@@ -40,8 +46,8 @@ three step kinds —
 
 ``GEN``
     everything else (kernel actions, HALT, and *every* hooked
-    position): the engine runs the interpreter body verbatim for that
-    one instruction, reading ``hooks[ii]`` and ``instr.mem`` live so
+    position): the engine runs the interpreter body for that one
+    instruction, reading ``hooks[ii]`` and ``instr.mem`` live so
     runtime hook swaps (AikidoSD's seeded direct-patching) need no
     recompile. Only the cycle charge is precomputed.
 
@@ -54,7 +60,7 @@ flushes, protection-change rewrites) structurally invalidates it.
 
 Correctness bar: bit-identical simulated stats — cycles, fault counts,
 race reports, chaos replay logs, trace attribution — versus the
-interpreter tier (see ``tests/dbr/test_compiled_parity.py``).
+generic form (see ``tests/dbr/test_compiled_parity.py``).
 """
 
 from __future__ import annotations
@@ -681,8 +687,11 @@ def _eli_fast_fn(instrs, start: int, engine, overhead: int) -> Callable:
     return namespace["_eli"]
 
 
-def compile_block(cached, engine) -> CompiledBlock:
+def compile_block(cached, engine, generic: bool = False) -> CompiledBlock:
     """Compile a cached block against ``engine``'s current overhead.
+
+    ``generic=True`` builds the generic form: a GEN step at every
+    position, no specialization, no elision, never stitchable.
 
     Classification is stable for the life of the ``CachedBlock``: hooks
     are only *added* through a flush-and-rebuild (AikidoSD's re-JIT), and
@@ -691,6 +700,10 @@ def compile_block(cached, engine) -> CompiledBlock:
     """
     overhead = engine.overhead_per_instr
     instrs = cached.instrs
+    if generic:
+        return CompiledBlock([(GEN, BASE_COST[i.op] + overhead,
+                               i.op in MEMORY_OPCODES) for i in instrs],
+                             overhead)
     hooks = cached.hooks
     n = len(instrs)
     steps: List[Optional[tuple]] = [None] * n

@@ -22,6 +22,9 @@ from typing import Callable, Dict, List, Optional
 from repro import costs
 from repro.machine.program import BasicBlock, Program
 
+#: Block executions before the block is promoted to a trace.
+TRACE_THRESHOLD = 50
+
 
 class CachedBlock:
     """A code-cache copy of one basic block.
@@ -58,11 +61,9 @@ class CachedBlock:
 class CodeCache:
     """block index -> CachedBlock, with build/flush accounting."""
 
-    def __init__(self, program: Program, counter=None,
-                 trace_threshold: int = 50):
+    def __init__(self, program: Program, counter=None):
         self.program = program
         self.counter = counter
-        self.trace_threshold = trace_threshold
         self._blocks: Dict[int, CachedBlock] = {}
         #: Callbacks run (in order) on every newly built block.
         self.build_callbacks: List[Callable[[CachedBlock], None]] = []
@@ -102,7 +103,7 @@ class CodeCache:
             cached = self._build(block_index)
         cached.executions += 1
         if (not cached.in_trace
-                and cached.executions >= self.trace_threshold):
+                and cached.executions >= TRACE_THRESHOLD):
             self._maybe_promote(cached)
         return cached
 

@@ -28,8 +28,6 @@ from repro.dbr.tool import Tool
 from repro.dbr.traceprofiler import TraceProfiler
 from repro.guestos.driver import ExecutionDriver
 from repro.guestos.signals import SIGSEGV, HandlerResult
-from repro.machine.cpu import BASE_COST
-from repro.machine.isa import MEMORY_OPCODES
 from repro.machine.paging import PageFault
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -38,22 +36,21 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 class DBREngine(ExecutionDriver):
     """Code-cache execution with inline instrumentation hooks.
 
-    Three execution tiers share the code cache. The *interpreter* tier
-    (:meth:`_run_interp`) is the reference: one ``CPU.execute`` per
-    instruction. The *compiled* tier (:meth:`_run_compiled`, default,
-    ``compile_blocks=False`` to disable) runs each block through its
-    specialized closure form (see :mod:`repro.dbr.blockcompiler`). The
+    One fetch/execute loop (:meth:`_run_steps`) runs every cached block
+    through its step list (see :mod:`repro.dbr.blockcompiler`); the
+    execution tiers are step-list forms of that loop. The *interpreter*
+    tier (``compile_blocks=False``) runs the generic form, one
+    ``CPU.execute`` per instruction, and is the reference. The
+    *compiled* tier (default) runs the specialized form. The
     *superblock* tier (``superblocks=False`` to disable, on by default
     whenever the compiled tier is) additionally stitches hot block
     chains into single generated functions with guard-protected side
     exits (see :mod:`repro.dbr.superblock` /
-    :mod:`repro.dbr.traceprofiler`), dispatched from the compiled
-    tier's fetch path. All tiers must produce bit-identical simulated
-    stats.
+    :mod:`repro.dbr.traceprofiler`), dispatched from the loop's fetch
+    path. All tiers must produce bit-identical simulated stats.
     """
 
-    def __init__(self, kernel, *, trace_threshold: int = 50,
-                 process=None, compile_blocks: bool = True,
+    def __init__(self, kernel, *, process=None, compile_blocks: bool = True,
                  superblocks: bool = True, native: bool = False,
                  stats=None):
         super().__init__(kernel, stats)
@@ -69,14 +66,14 @@ class DBREngine(ExecutionDriver):
         #: per-process engine it builds.
         self.native = native
         self.codecache = CodeCache(self.process.program,
-                                   None if native else kernel.counter,
-                                   trace_threshold=trace_threshold)
+                                   None if native else kernel.counter)
         self.tool: Optional[Tool] = None
         #: Installed by AikidoSD: callable(thread, SignalInfo) ->
         #: HandlerResult or None (None = not an Aikido fault).
         self.fault_router: Optional[Callable] = None
         self._cache_dirty = False
-        #: Execution-tier switch (AikidoConfig.compile_blocks).
+        #: Execution-tier switch (AikidoConfig.compile_blocks): the
+        #: specialized step-list form, or the generic one when False.
         self.compile_blocks = compile_blocks
         #: Superblock-tier switch (AikidoConfig.superblocks) — a layer
         #: on top of the compiled tier, meaningless without it.
@@ -260,84 +257,7 @@ class DBREngine(ExecutionDriver):
             if self.codecache.invalidate_all():
                 self._cache_dirty = True
             chaos.note_recovered("codecache_flush")
-        # A pending yield left over from a previous quantum (a thread
-        # that blocked right after a chaos preempt) makes the very next
-        # instruction yield; the interpreter tier *is* that reference
-        # behavior, so delegate the quantum to it.
-        if self.compile_blocks and not self.kernel._yield_requested:
-            return self._run_compiled(thread, budget)
-        return self._run_interp(thread, budget)
-
-    def _run_interp(self, thread, budget: int) -> str:
-        """Reference tier: dict-dispatched ``CPU.execute`` per instruction."""
-        kernel = self.kernel
-        execute = self.cpu.execute
-        counter = self.counter
-        stats = self.stats
-        codecache = self.codecache
-        pc = thread.pc
-        executed = 0
-        cur_bi = -1
-        cached = None
-        overhead = self.overhead_per_instr
-        dispatch = None if self.native else costs.BLOCK_DISPATCH
-        while executed < budget:
-            if not thread.runnable:
-                return "exited" if thread.exited else "blocked"
-            bi = pc[0]
-            if bi != cur_bi or cached is None or self._cache_dirty:
-                self._cache_dirty = False
-                cached = codecache.get(bi)
-                cur_bi = bi
-                if dispatch is not None:
-                    counter.charge("dbr", dispatch)
-            ii = pc[1]
-            if ii >= len(cached.instrs):
-                pc[0] += 1
-                pc[1] = 0
-                cur_bi = -1
-                continue
-            instr = cached.instrs[ii]
-            hook = cached.hooks[ii]
-            try:
-                if hook is not None:
-                    mem = instr.mem
-                    if mem is not None:
-                        if mem.base is None:
-                            ea = mem.disp
-                        else:
-                            ea = (thread.regs[mem.base] + mem.disp) & _MASK64
-                    else:
-                        ea = None
-                    override = hook(thread, instr, ea)
-                    res = execute(instr, thread, ea_override=override)
-                    # Counted only on retire (a faulting attempt retries
-                    # and must not be counted twice — Table 2 col 2 is a
-                    # retired-execution count).
-                    stats.instrumented_execs += 1
-                else:
-                    res = execute(instr, thread)
-            except PageFault as fault:
-                kernel.repair_fault(thread, fault)
-                # The handler may have rebuilt this block: force re-fetch
-                # so we execute the freshly instrumented copy.
-                cur_bi = -1
-                continue
-            op = instr.op
-            counter.instr_cycles += BASE_COST[op] + overhead
-            executed += 1
-            stats.instructions += 1
-            if op in MEMORY_OPCODES:
-                stats.memory_refs += 1
-            if res is None:
-                pc[1] = ii + 1
-            else:
-                if not self._apply_result(thread, pc, ii, res):
-                    return "exited" if thread.exited else "blocked"
-                cur_bi = -1  # control may have transferred
-            if kernel.consume_yield():
-                return "yield"
-        return "quantum"
+        return self._run_steps(thread, budget)
 
     def _compile_block(self, cached, overhead: int):
         """(Re)compile a cached block's closure; tracks traffic/tracing."""
@@ -346,7 +266,8 @@ class DBREngine(ExecutionDriver):
             # Stale: baked with a different residency overhead (the
             # installed stack changed, e.g. AikidoSD install).
             codecache._note_closure_dropped(cached, "stale_overhead")
-        compiled = compile_block(cached, self)
+        compiled = compile_block(cached, self,
+                                 generic=not self.compile_blocks)
         assert compiled.overhead == overhead
         cached.compiled = compiled
         codecache.closures_compiled += 1
@@ -356,13 +277,9 @@ class DBREngine(ExecutionDriver):
                                 steps=compiled.length)
         return compiled
 
-    def _run_compiled(self, thread, budget: int) -> str:
-        """Compiled tier: one specialized step per fused unit.
-
-        Structurally a clone of :meth:`_run_interp` — same fetch
-        condition, same dispatch charge, same fault/yield/blocked exits —
-        with the per-instruction body replaced by the block's step list.
-        """
+    def _run_steps(self, thread, budget: int) -> str:
+        """The fetch/execute loop: run the thread for up to ``budget``
+        instructions, one step (or fused run) at a time."""
         kernel = self.kernel
         execute = self.cpu.execute
         counter = self.counter
@@ -374,13 +291,19 @@ class DBREngine(ExecutionDriver):
         cached = None
         steps = None
         length = 0
-        #: True only while a fault-repair for the instruction being
-        #: retried may have left a chaos preempt pending.
-        pending_yield = False
-        #: The interpreter re-reads ``thread.runnable`` before every
-        #: instruction, but only kernel entries can change it; the
-        #: check is hoisted to the paths that entered the kernel
-        #: (fault repairs — actions return the new state directly).
+        #: True only while a yield may be pending: a fault repair for
+        #: the instruction being retried may have left a chaos preempt
+        #: pending, or the previous quantum did (a thread that blocked
+        #: right after a chaos preempt). In the latter case the very
+        #: next retired instruction must yield, and only the generic
+        #: form checks after every instruction, so the whole quantum
+        #: runs on throwaway generic forms with no superblock dispatch
+        #: and no profiler edges.
+        pending_yield = generic = kernel._yield_requested
+        #: Only kernel entries can change ``thread.runnable``, so the
+        #: check runs at quantum start and after the paths that entered
+        #: the kernel (fault repairs — actions return the new state
+        #: directly).
         check_runnable = True
         overhead = self.overhead_per_instr
         dispatch = None if self.native else costs.BLOCK_DISPATCH
@@ -404,6 +327,8 @@ class DBREngine(ExecutionDriver):
         #: chains only ever link promoted blocks, so cold-source edges
         #: would be dead weight in the table.
         prev_bi = -1
+        if generic:
+            sb_get = edges = None
         while executed < budget:
             if check_runnable:
                 if not thread.runnable:
@@ -503,7 +428,9 @@ class DBREngine(ExecutionDriver):
                 if dispatch is not None:
                     counter.charge("dbr", dispatch)
                 compiled = cached.compiled
-                if compiled is None or compiled.overhead != overhead:
+                if generic:
+                    compiled = compile_block(cached, self, generic=True)
+                elif compiled is None or compiled.overhead != overhead:
                     compiled = self._compile_block(cached, overhead)
                 steps = compiled.steps
                 length = compiled.length
@@ -604,7 +531,7 @@ class DBREngine(ExecutionDriver):
                     cur_bi = -1
                 executed += 1
                 continue
-            # GEN: the interpreter body, verbatim, for one instruction.
+            # GEN: the interpreter body for one instruction.
             # hooks[ii] and instr.mem are read live — AikidoSD swaps the
             # hook and patches the displacement in place at runtime.
             instr = cached.instrs[ii]
@@ -621,11 +548,16 @@ class DBREngine(ExecutionDriver):
                         ea = None
                     override = hook(thread, instr, ea)
                     res = execute(instr, thread, ea_override=override)
+                    # Counted only on retire (a faulting attempt retries
+                    # and must not be counted twice — Table 2 col 2 is a
+                    # retired-execution count).
                     stats.instrumented_execs += 1
                 else:
                     res = execute(instr, thread)
             except PageFault as fault:
                 kernel.repair_fault(thread, fault)
+                # The handler may have rebuilt this block: re-fetch so
+                # the retry runs the freshly instrumented copy.
                 check_runnable = True
                 cur_bi = -1
                 continue

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 #: An edge must have been taken this many times before it can anchor a
 #: chain link (the head block itself is already past the code cache's
-#: ``trace_threshold`` when a build is attempted).
+#: ``TRACE_THRESHOLD`` when a build is attempted).
 EDGE_MIN = 16
 
 #: ... and it must carry at least this fraction of the block's total

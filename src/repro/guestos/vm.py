@@ -188,10 +188,6 @@ class VMManager:
         return [r for r in self.regions
                 if r.kind in ("static", "heap", "mmap")]
 
-    def mapped_user_vpns(self) -> Iterator[int]:
-        for region in self.user_regions():
-            yield from region.vpns()
-
     # ------------------------------------------------------------------
     # direct (host-level) data access helpers for loaders and tests
     # ------------------------------------------------------------------

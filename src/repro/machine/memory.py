@@ -58,13 +58,6 @@ class PhysicalMemory:
             self._words.pop(widx, None)
         self._free.append(pfn)
 
-    def is_allocated(self, pfn: int) -> bool:
-        return pfn in self._allocated
-
-    @property
-    def allocated_frame_count(self) -> int:
-        return len(self._allocated)
-
     # ------------------------------------------------------------------
     # data access (by physical address)
     # ------------------------------------------------------------------

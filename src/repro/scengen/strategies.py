@@ -19,7 +19,6 @@ from repro.scengen.generator import (
     GeneratorConfig,
     generate,
 )
-from repro.scengen.scenario import render
 
 #: Seed space for property tests — wide enough for idiom diversity,
 #: small enough that failures print a memorable seed.
@@ -38,8 +37,3 @@ def scenario_irs(config: Optional[GeneratorConfig] = None,
     if not chaos:
         strat = strat.filter(lambda ir: ir.chaos_seed is None)
     return strat
-
-
-def scenario_programs(config: Optional[GeneratorConfig] = None):
-    """Strategy yielding rendered ``(ir, program)`` pairs."""
-    return scenario_irs(config).map(lambda ir: (ir, render(ir)[0]))

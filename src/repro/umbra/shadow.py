@@ -167,7 +167,3 @@ class ShadowMemory:
     def block_id(self, addr: int) -> int:
         """The metadata block ("variable") an address falls into."""
         return addr // self.block_size
-
-    @property
-    def region_count(self) -> int:
-        return len(self._regions)

@@ -30,10 +30,6 @@ class StaticProfile:
     segment_bytes: int
 
     @property
-    def static_memory_fraction(self) -> float:
-        return self.memory_instructions / max(1, self.instructions)
-
-    @property
     def footprint_pages(self) -> int:
         return (self.segment_bytes + PAGE_SIZE - 1) // PAGE_SIZE
 

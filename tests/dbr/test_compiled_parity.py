@@ -143,6 +143,20 @@ class TestWorkloadParity:
                 chaos=ChaosPlan.hostile(seed=13, intensity=0.2)))
         assert superblock == compiled == interp
 
+    @pytest.mark.parametrize("chaos_seed", [1, 3])
+    @pytest.mark.parametrize("name", ["streamcluster", "fluidanimate"])
+    def test_preempt_chaos_run_bit_identical(self, name, chaos_seed):
+        # A preempt during a fault repair of a thread that then blocks
+        # leaves the yield pending into that thread's next quantum,
+        # whose first retired instruction must yield in every tier.
+        superblock, compiled, interp = run_all_tiers(
+            lambda: build_benchmark(name, threads=4, scale=0.3),
+            seed=2, quantum=100,
+            config=AikidoConfig(chaos=ChaosPlan.single(
+                "preempt", seed=chaos_seed, intensity=0.3)))
+        assert interp[0] == "ok", interp
+        assert superblock == compiled == interp
+
     @pytest.mark.parametrize("name", ["bodytrack", "x264"])
     def test_traced_run_bit_identical(self, name):
         superblock, compiled, interp = run_all_tiers(

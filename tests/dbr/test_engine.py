@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dbr.codecache import CodeCache
+from repro.dbr.codecache import TRACE_THRESHOLD, CodeCache
 from repro.dbr.engine import DBREngine
 from repro.dbr.tool import Tool
 from repro.errors import SegmentationFaultError
@@ -84,11 +84,13 @@ class TestCodeCache:
 
     def test_trace_promotion_counted(self):
         program, _ = counting_program()
-        cache = CodeCache(program, trace_threshold=3)
+        cache = CodeCache(program)
+        for _ in range(TRACE_THRESHOLD - 1):
+            assert not cache.get(0).in_trace
+        assert cache.get(0).in_trace
         for _ in range(5):
             cache.get(0)
         assert cache.traces_built == 1
-        assert cache.get(0).in_trace
 
     def test_build_callbacks_run_in_order(self):
         program, _ = counting_program()

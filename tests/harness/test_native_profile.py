@@ -5,7 +5,9 @@ through :class:`~repro.dbr.engine.DBREngine` with no tool and no DBR
 charges. Its simulated outcome must be exactly what the former
 per-instruction native loop produced: the stored native digests in
 ``perfbench/reference.json`` came from that loop, and every tier must
-still reproduce them.
+still reproduce them. The stored FastTrack and Aikido-FastTrack digests
+came from the engine's former separate interpreter loop, so they pin
+the fetch/execute loop the tiers now share.
 """
 
 from __future__ import annotations
@@ -42,18 +44,28 @@ def run_digest(result) -> str:
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", benchmark_names())
-def test_native_matches_stored_reference_digest(name, seed):
+#: (mode, program, seed) of every checked reference digest; native
+#: cases keep their unprefixed ``name-seed`` ids.
+REFERENCE_CASES = [
+    pytest.param(mode, name, seed,
+                 id=(f"{name}-{seed}" if mode == "native"
+                     else f"{mode}-{name}-{seed}"))
+    for mode in ("native", "fasttrack", "aikido-fasttrack")
+    for name in benchmark_names()
+    for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("mode,name,seed", REFERENCE_CASES)
+def test_native_matches_stored_reference_digest(mode, name, seed):
     reference = _reference()
     params = reference["params"]
-    want = reference["seeds"][str(seed)][f"native:{name}"]
+    want = reference["seeds"][str(seed)][f"{mode}:{name}"]
     for tiers in ({}, {"compile_blocks": False}):
         result = run_mode(
             build_benchmark(name, threads=params["threads"],
                             scale=params["scale"]),
-            "native", seed=seed, quantum=params["quantum"], **tiers)
-        assert run_digest(result) == want, (name, seed, tiers)
+            mode, seed=seed, quantum=params["quantum"], **tiers)
+        assert run_digest(result) == want, (mode, name, seed, tiers)
 
 
 def test_native_output_has_no_dbr_traces():
