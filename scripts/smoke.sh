@@ -14,6 +14,10 @@ trap 'rm -rf "$AIKIDO_CACHE_DIR"' EXIT
 
 python -m pytest -x -q
 
+# Benchmark tests: perfbench wraps src/ functions for its per-layer
+# timing, so a src/ change that moves or deletes one fails here.
+python -m pytest perfbench -q
+
 # Workload linter gate: every bundled workload must be finding-free at
 # the thread counts the suite uses (the CLI exits non-zero on findings).
 for threads in 2 8; do

@@ -13,13 +13,14 @@ runner/journal/cache trio into a small distributed service:
   x configs x chaos plans, or scengen fuzz seed ranges) partitioned
   into content-addressed shards keyed by
   ``sha256(shard spec + cost-model fingerprint)``;
-* :mod:`repro.fleet.wal` — journal-first coordinator state (JSONL WAL +
-  atomic snapshots) so ``--resume`` re-simulates zero completed shards
-  even after SIGKILL;
 * :mod:`repro.fleet.coordinator` — worker registration with leases and
   heartbeats, per-shard deadlines, dead-worker detection with requeue,
   exponential backoff + jitter, poison-shard quarantine, graceful
-  degradation to inline execution, and deterministic report merging;
+  degradation to inline execution, deterministic report merging, and
+  journal-first shard state (the suite harness's
+  :class:`~repro.harness.journal.RunJournal`, at
+  ``<state_dir>/wal.jsonl``) so ``--resume`` re-simulates zero
+  completed shards even after SIGKILL;
 * :mod:`repro.fleet.worker` — the worker process body, including the
   seeded chaos-on-the-harness test mode (kills / stalls / garbled
   frames) that the survivability tests drive.
@@ -34,7 +35,6 @@ from repro.fleet.protocol import (FrameError, FrameStream, MAX_FRAME_BYTES,
                                   decode_frame, encode_frame)
 from repro.fleet.shards import (CampaignSpec, ShardSpec, execute_shard,
                                 merge_report, partition, serial_report)
-from repro.fleet.wal import CoordinatorWAL
 from repro.fleet.worker import FleetChaosPlan, worker_main
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "decode_frame", "encode_frame",
     "CampaignSpec", "ShardSpec", "execute_shard", "merge_report",
     "partition", "serial_report",
-    "CoordinatorWAL",
     "FleetChaosPlan", "worker_main",
 ]

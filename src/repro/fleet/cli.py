@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--port", type=int, default=0,
                      help="listening port (0 = ephemeral)")
     run.add_argument("--state-dir", metavar="DIR", default=None,
-                     help="WAL + snapshot directory (crash-safe resume)")
+                     help="coordinator journal directory (crash-safe "
+                          "resume)")
     run.add_argument("--resume", action="store_true",
                      help="resume from --state-dir; completed shards "
                           "are never re-simulated")

@@ -27,10 +27,14 @@ Robustness model, in order of line of defense:
    respawned, the coordinator executes remaining shards in-process via
    the identical :func:`~repro.fleet.shards.execute_shard` path: a
    campaign never hangs waiting for a fleet that no longer exists.
-5. **Journal-first WAL.** Completions, deliveries and quarantines hit
-   the :class:`~repro.fleet.wal.CoordinatorWAL` before memory, so a
+5. **Journal-first state.** Completions, deliveries and quarantines
+   are appended to ``<state_dir>/wal.jsonl`` (a
+   :class:`~repro.harness.journal.RunJournal`) before memory, so a
    SIGKILLed coordinator resumed with ``resume=True`` re-simulates
-   zero completed shards.
+   zero completed shards. The journal holds one entry per (record
+   type, shard) — ``done:<id>``, ``delivery:<id>``,
+   ``quarantine:<id>`` — plus a ``campaign`` entry naming the owning
+   campaign key; resuming a different campaign is refused.
 
 Results are deduplicated by shard id against the completed set — a
 result arriving from an evicted worker (it was alive after all) is
@@ -49,37 +53,17 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.fleet.protocol import FleetError, FrameError, FrameStream
 from repro.fleet.shards import (CampaignSpec, ShardSpec, campaign_key,
                                 execute_shard, merge_report, partition)
-from repro.fleet.wal import CoordinatorWAL
 from repro.fleet.worker import CHAOS_ENV, WORKER_INDEX_ENV, FleetChaosPlan
+from repro.harness.journal import RunJournal
 from repro.harness.parallel import fingerprint
 from repro.harness.resultcache import ResultCache
 from repro.observability.fleet import FleetCounters, fleet_instant
-
-
-class _MemoryWAL:
-    """In-memory stand-in when no state directory was given."""
-
-    def __init__(self):
-        self.completed: Dict[str, Dict] = {}
-        self.deliveries: Dict[str, int] = {}
-        self.quarantined: Dict[str, str] = {}
-
-    def record_done(self, shard_id, aggregate):
-        self.completed[shard_id] = aggregate
-
-    def record_delivery(self, shard_id, count):
-        self.deliveries[shard_id] = count
-
-    def record_quarantine(self, shard_id, reason):
-        self.quarantined[shard_id] = reason
-
-    def write_snapshot(self):
-        pass
 
 
 @dataclass
@@ -103,7 +87,6 @@ class FleetCoordinator:
                  cache: Optional[ResultCache] = None,
                  state_dir: Optional[os.PathLike] = None,
                  resume: bool = False, fsync: bool = True,
-                 snapshot_every: int = 16,
                  lease_s: float = 5.0, heartbeat_s: float = 1.0,
                  shard_deadline_s: float = 300.0,
                  max_deliveries: int = 3,
@@ -131,13 +114,20 @@ class FleetCoordinator:
         self.allow_inline = allow_inline
         self.counters = FleetCounters()
         self.tracer = tracer
-        self.wal = (CoordinatorWAL(state_dir, self.key, resume=resume,
-                                   fsync=fsync,
-                                   snapshot_every=snapshot_every)
-                    if state_dir is not None else _MemoryWAL())
+        #: shard_id -> aggregate payload (completed shards).
+        self.completed: Dict[str, Dict] = {}
+        #: shard_id -> delivery count (assignments so far).
+        self.deliveries: Dict[str, int] = {}
+        #: shard_id -> human-readable quarantine reason.
+        self.quarantined: Dict[str, str] = {}
+        self._state = {"done": self.completed, "delivery": self.deliveries,
+                       "quarantine": self.quarantined}
+        self.journal: Optional[RunJournal] = None
+        if state_dir is not None:
+            self._open_journal(Path(state_dir) / "wal.jsonl", resume, fsync)
         self.counters.bump("shards_total", len(self.shards))
         resumed = sum(1 for s in self.shards
-                      if s.shard_id in self.wal.completed)
+                      if s.shard_id in self.completed)
         self.counters.bump("shards_resumed", resumed)
 
         self._listener = socket.create_server((host, port))
@@ -154,6 +144,37 @@ class FleetCoordinator:
         #: shard_id -> ShardSpec currently assigned to some worker.
         self._in_flight: Dict[str, ShardSpec] = {}
         self.worker_procs: List[subprocess.Popen] = []
+
+    # ------------------------------------------------------------------
+    # journal-first durable state
+    # ------------------------------------------------------------------
+    def _open_journal(self, path: Path, resume: bool, fsync: bool) -> None:
+        self.journal = RunJournal(path, resume=resume, fsync=fsync)
+        owner = self.journal.get("campaign")
+        if owner is None:
+            self.journal.record("campaign",
+                                {"type": "campaign", "key": self.key})
+        elif owner.get("key") != self.key:
+            raise FleetError(
+                f"{path} belongs to campaign {owner.get('key', '')[:12]}"
+                f"..., not {self.key[:12]}... — refusing to resume "
+                "across campaigns (use a fresh --state-dir)")
+        for payload in self.journal.payloads():
+            state = self._state.get(payload.get("type"))
+            if state is not None:  # unknown types: future records
+                state[payload["shard"]] = payload["value"]
+
+    def record(self, kind: str, shard_id: str, value) -> None:
+        """Persist one state change (journal first, then memory).
+
+        ``kind`` is ``"done"`` (value: the shard aggregate),
+        ``"delivery"`` (the delivery count) or ``"quarantine"`` (the
+        reason).
+        """
+        if self.journal is not None:
+            self.journal.record(f"{kind}:{shard_id}", {
+                "type": kind, "shard": shard_id, "value": value})
+        self._state[kind][shard_id] = value
 
     # ------------------------------------------------------------------
     # socket plumbing (accept + per-connection reader threads)
@@ -228,16 +249,16 @@ class FleetCoordinator:
             for index in range(spawn_workers):
                 self.spawn_worker(index, chaos)
             for shard in self.shards:
-                if (shard.shard_id not in self.wal.completed
-                        and shard.shard_id not in self.wal.quarantined):
+                if (shard.shard_id not in self.completed
+                        and shard.shard_id not in self.quarantined):
                     self._push_ready(shard, time.monotonic())
             self._loop()
         finally:
             self._shutdown()
             accept.join(timeout=2.0)
         report = merge_report(self.spec, self.shards,
-                              self.wal.completed, self.fp)
-        report["quarantined"].update(self.wal.quarantined)
+                              self.completed, self.fp)
+        report["quarantined"].update(self.quarantined)
         return report
 
     def _push_ready(self, shard: ShardSpec, when: float) -> None:
@@ -245,8 +266,8 @@ class FleetCoordinator:
         heapq.heappush(self._ready, (when, self._tiebreak, shard))
 
     def _unfinished(self) -> bool:
-        return any(s.shard_id not in self.wal.completed
-                   and s.shard_id not in self.wal.quarantined
+        return any(s.shard_id not in self.completed
+                   and s.shard_id not in self.quarantined
                    for s in self.shards)
 
     def _loop(self) -> None:
@@ -339,7 +360,7 @@ class FleetCoordinator:
         known = {s.shard_id: s for s in self.shards}
         if shard_id not in known or not isinstance(aggregate, dict):
             return  # a result for a shard we never issued: drop
-        if shard_id in self.wal.completed:
+        if shard_id in self.completed:
             # Redelivered shard finishing twice (e.g. the original
             # worker was evicted but alive): drop, never double-merge.
             self.counters.bump("duplicate_results")
@@ -352,7 +373,7 @@ class FleetCoordinator:
                 worker.shard = None
 
     def _record_done(self, shard: ShardSpec, aggregate: Dict) -> None:
-        self.wal.record_done(shard.shard_id, aggregate)
+        self.record("done", shard.shard_id, aggregate)
         self._in_flight.pop(shard.shard_id, None)
         self.counters.bump("shards_completed")
         self.counters.bump("units_completed", aggregate.get("units", 0))
@@ -399,11 +420,11 @@ class FleetCoordinator:
     # requeue / quarantine / assignment
     # ------------------------------------------------------------------
     def _requeue(self, shard: ShardSpec, reason: str) -> None:
-        if shard.shard_id in self.wal.completed:
+        if shard.shard_id in self.completed:
             return  # result landed before the eviction was processed
-        delivered = self.wal.deliveries.get(shard.shard_id, 0)
+        delivered = self.deliveries.get(shard.shard_id, 0)
         if delivered >= self.max_deliveries:
-            self.wal.record_quarantine(shard.shard_id, reason)
+            self.record("quarantine", shard.shard_id, reason)
             self.counters.bump("shards_quarantined")
             fleet_instant(self.tracer, "shard_quarantined",
                           shard=shard.shard_id[:12], reason=reason)
@@ -422,13 +443,13 @@ class FleetCoordinator:
         idle = [w for w in self._workers.values() if w.shard is None]
         while idle and self._ready and self._ready[0][0] <= now:
             _, _, shard = heapq.heappop(self._ready)
-            if (shard.shard_id in self.wal.completed
-                    or shard.shard_id in self.wal.quarantined
+            if (shard.shard_id in self.completed
+                    or shard.shard_id in self.quarantined
                     or shard.shard_id in self._in_flight):
                 continue
             worker = idle.pop()
-            delivery = self.wal.deliveries.get(shard.shard_id, 0) + 1
-            self.wal.record_delivery(shard.shard_id, delivery)
+            delivery = self.deliveries.get(shard.shard_id, 0) + 1
+            self.record("delivery", shard.shard_id, delivery)
             if delivery > 1:
                 self.counters.bump("redeliveries")
             self.counters.shard_bump(shard.shard_id, "deliveries")
@@ -469,12 +490,12 @@ class FleetCoordinator:
         if not self._ready or self._ready[0][0] > now:
             return
         _, _, shard = heapq.heappop(self._ready)
-        if (shard.shard_id in self.wal.completed
-                or shard.shard_id in self.wal.quarantined
+        if (shard.shard_id in self.completed
+                or shard.shard_id in self.quarantined
                 or shard.shard_id in self._in_flight):
             return
-        delivery = self.wal.deliveries.get(shard.shard_id, 0) + 1
-        self.wal.record_delivery(shard.shard_id, delivery)
+        delivery = self.deliveries.get(shard.shard_id, 0) + 1
+        self.record("delivery", shard.shard_id, delivery)
         self.counters.bump("shards_inline")
         fleet_instant(self.tracer, "inline_fallback",
                       shard=shard.shard_id[:12], index=shard.index)
@@ -507,12 +528,11 @@ class FleetCoordinator:
         for worker in self._workers.values():
             worker.stream.close()
         self._workers.clear()
-        self.wal.write_snapshot()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FleetCoordinator {self.key[:12]} "
                 f"shards={len(self.shards)} "
-                f"completed={len(self.wal.completed)}>")
+                f"completed={len(self.completed)}>")
 
 
 def run_fleet_campaign(spec: CampaignSpec, *, workers: int = 2,

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.plan import ChaosPlan
 from repro.core.config import AikidoConfig
 from repro.fleet.protocol import FleetError
+from repro.harness.journal import lookup_payload, store_payload
 from repro.harness.parallel import (Job, _guarded_outcome, fingerprint,
                                     job_key)
 from repro.harness.resultcache import ResultCache
@@ -219,15 +220,13 @@ def _suite_unit_outcome(unit: Dict, cache: Optional[ResultCache],
                         fp: str) -> Dict:
     job = job_from_canonical(unit["job"])
     key = job_key(job, fp)
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            return {"status": "ok", "key": key, "cached": True,
-                    "payload": payload}
+    payload, _ = lookup_payload(key, None, cache)
+    if payload is not None:
+        return {"status": "ok", "key": key, "payload": payload}
     outcome = _guarded_outcome(job, timeout=None)
     outcome["key"] = key
-    if outcome["status"] == "ok" and cache is not None:
-        cache.put(key, outcome["payload"])
+    if outcome["status"] == "ok":
+        store_payload(key, outcome["payload"], None, cache)
     return outcome
 
 
@@ -239,14 +238,10 @@ def _fuzz_unit_outcome(unit: Dict, cache: Optional[ResultCache],
     config = QUICK_CONFIG if quick else DEFAULT_CONFIG
     seed = unit["seed"]
     key = scenario_key(config, seed, quick)
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            return {"status": "ok", "key": key, "cached": True,
-                    "payload": payload}
-    payload = scenario_payload(seed, config, quick=quick)
-    if cache is not None:
-        cache.put(key, payload)
+    payload, _ = lookup_payload(key, None, cache)
+    if payload is None:
+        payload = scenario_payload(seed, config, quick=quick)
+        store_payload(key, payload, None, cache)
     return {"status": "ok", "key": key, "payload": payload}
 
 
@@ -259,9 +254,9 @@ def execute_shard(shard: ShardSpec, spec: CampaignSpec, *,
 
     ``unit_hook(i)`` fires before unit ``i`` — the seam the fleet chaos
     mode uses to kill or stall a worker mid-shard. The aggregate is a
-    pure function of (shard, spec, cost model): the ``cached`` marker is
-    stripped before aggregation so a cache-served unit is byte-identical
-    to a freshly simulated one.
+    pure function of (shard, spec, cost model): a unit outcome carries
+    no trace of where its payload came from, so a cache-served unit is
+    byte-identical to a freshly simulated one.
     """
     fp = fp if fp is not None else fingerprint()
     outcomes = []
@@ -272,7 +267,6 @@ def execute_shard(shard: ShardSpec, spec: CampaignSpec, *,
             outcome = _fuzz_unit_outcome(unit, cache, spec.quick)
         else:
             outcome = _suite_unit_outcome(unit, cache, fp)
-        outcome.pop("cached", None)
         outcomes.append(outcome)
     failures = sum(1 for o in outcomes if o["status"] != "ok")
     return {"shard_id": shard.shard_id, "index": shard.index,

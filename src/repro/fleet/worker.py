@@ -6,7 +6,7 @@ shard via the shared :func:`~repro.fleet.shards.execute_shard` path
 (consulting the multi-writer-safe result cache), stream ``heartbeat``
 frames from a side thread while the shard runs, and ship the aggregate
 back as one ``result`` frame. Workers are stateless by design — all
-durable state lives in the coordinator's WAL and the result cache — so
+durable state lives in the coordinator's journal and the result cache — so
 killing one at any instruction loses nothing but in-flight work.
 
 **Chaos-on-the-harness.** :class:`FleetChaosPlan` follows the simulator

@@ -11,7 +11,14 @@ exactly one simulation left.
 
 The format is deliberately crash-tolerant: a process killed mid-write
 leaves at most one truncated final line, which loading skips (along with
-any other undecodable line) instead of refusing the whole file.
+any other undecodable line) instead of refusing the whole file. It is
+the repo's one crash-safe log: the fleet coordinator persists its shard
+state through it too (:mod:`repro.fleet.coordinator`).
+
+:func:`lookup_payload` and :func:`store_payload` own the lookup order
+every resumable runner shares — journal before cache, a cache hit is
+journaled too, store on success — so suites, fuzz campaigns and fleet
+shard units cannot drift apart.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
+
+from repro.harness.resultcache import ResultCache
 
 
 class RunJournal:
@@ -95,6 +104,10 @@ class RunJournal:
             if self.fsync:
                 os.fsync(handle.fileno())
 
+    def payloads(self) -> Iterator[Dict]:
+        """Every live payload: the last one recorded under each key."""
+        return iter(self._entries.values())
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -104,3 +117,35 @@ class RunJournal:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RunJournal {self.path} entries={len(self._entries)} "
                 f"replayed={self.replayed}>")
+
+
+def lookup_payload(key: str, journal: Optional[RunJournal],
+                   cache: Optional[ResultCache]
+                   ) -> Tuple[Optional[Dict], Optional[str]]:
+    """Find ``key``'s payload: journal first, then cache.
+
+    Returns ``(payload, source)`` with ``source`` ``"journal"``,
+    ``"cache"`` or ``None`` (a miss: simulate, then
+    :func:`store_payload`). A cache hit is journaled on the spot, so a
+    resume without the cache still replays it.
+    """
+    if journal is not None:
+        payload = journal.get(key)
+        if payload is not None:
+            return payload, "journal"
+    if cache is not None:
+        payload = cache.get(key)
+        if payload is not None:
+            if journal is not None:
+                journal.record(key, payload)
+            return payload, "cache"
+    return None, None
+
+
+def store_payload(key: str, payload: Dict, journal: Optional[RunJournal],
+                  cache: Optional[ResultCache]) -> None:
+    """Checkpoint one successful result: journal first, then cache."""
+    if journal is not None:
+        journal.record(key, payload)
+    if cache is not None:
+        cache.put(key, payload)

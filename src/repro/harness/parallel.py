@@ -20,7 +20,7 @@ this module exploits both:
 
 The runner is crash-tolerant (this is the harness the chaos experiments
 lean on, so it must outlive anything it measures): per-job wall-clock
-timeouts, bounded retry with backoff for transient failures, recovery
+timeouts, bounded retry for transient failures, recovery
 from a killed worker (:class:`BrokenProcessPool` rebuilds the pool or
 falls back to inline execution), per-job :class:`JobFailure` records
 instead of batch aborts, and an optional
@@ -57,7 +57,7 @@ from repro.errors import (
     SuiteFailureError,
 )
 from repro.harness.costmodel import snapshot
-from repro.harness.journal import RunJournal
+from repro.harness.journal import RunJournal, lookup_payload, store_payload
 from repro.harness.resultcache import ResultCache
 from repro.harness.runner import MODES, RunResult, run_mode
 
@@ -356,12 +356,11 @@ class ParallelRunner:
         Extra attempts granted to *transient* failures (timeout, host
         exception, killed worker). Simulated errors never retry — the
         simulation is deterministic, so the rerun would fail identically.
-    ``backoff``
-        Seconds slept before retry attempt *n* (scaled by n).
     ``journal``
-        A :class:`RunJournal`; every finished job is checkpointed, and
-        journaled results are replayed before cache lookup, so resuming
-        an interrupted suite re-simulates nothing that finished.
+        A :class:`RunJournal`; every finished or cache-served job is
+        checkpointed, and journaled results are replayed before cache
+        lookup, so resuming an interrupted suite re-simulates nothing
+        that finished.
 
     A worker death (:class:`BrokenProcessPool`) is absorbed: completed
     results are kept, the pool is rebuilt for jobs with retry budget, and
@@ -377,7 +376,6 @@ class ParallelRunner:
     def __init__(self, jobs: Optional[int] = 1,
                  cache: Optional[ResultCache] = None, *,
                  timeout: Optional[float] = None, retries: int = 0,
-                 backoff: float = 0.0,
                  journal: Optional[RunJournal] = None):
         if retries < 0:
             raise HarnessError(f"retries must be >= 0, got {retries}")
@@ -385,7 +383,6 @@ class ParallelRunner:
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
         self.journal = journal
         self.simulations = 0
         self.cache_hits = 0
@@ -413,15 +410,12 @@ class ParallelRunner:
         fp = fingerprint()
         for index, job in enumerate(jobs):
             keys.append(job_key(job, fp))
-            payload = None
-            if self.journal is not None:
-                payload = self.journal.get(keys[index])
-                if payload is not None:
-                    self.journal_hits += 1
-            if payload is None and self.cache is not None:
-                payload = self.cache.get(keys[index])
-                if payload is not None:
-                    self.cache_hits += 1
+            payload, source = lookup_payload(keys[index], self.journal,
+                                             self.cache)
+            if source == "journal":
+                self.journal_hits += 1
+            elif source == "cache":
+                self.cache_hits += 1
             if payload is not None:
                 results[index] = result_from_dict(payload)
             else:
@@ -522,10 +516,7 @@ class ParallelRunner:
         if outcome["status"] == "ok":
             payload = outcome["payload"]
             results[index] = result_from_dict(payload)
-            if self.cache is not None:
-                self.cache.put(keys[index], payload)
-            if self.journal is not None:
-                self.journal.record(keys[index], payload)
+            store_payload(keys[index], payload, self.journal, self.cache)
             return
         kind = outcome["kind"]
         if kind == "timeout":
@@ -533,8 +524,6 @@ class ParallelRunner:
         if (kind in _RETRYABLE_KINDS and attempt <= self.retries
                 and not lost_worker_fallback):
             self.retries_performed += 1
-            if self.backoff > 0:
-                time.sleep(self.backoff * attempt)
             retry_queue.append((index, attempt + 1))
             return
         results[index] = JobFailure(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.harness.journal import RunJournal
+from repro.harness.journal import RunJournal, lookup_payload, store_payload
 from repro.harness.parallel import fingerprint
 from repro.harness.resultcache import ResultCache
 from repro.scengen.generator import (
@@ -156,35 +156,26 @@ def run_campaign(base_seed: int, count: int, *,
     so a planted bug can never poison real verdicts.
     """
     config = config or (QUICK_CONFIG if quick else DEFAULT_CONFIG)
-    use_store = tier_runner is None
+    if tier_runner is not None:
+        journal = cache = None
     result = CampaignResult()
     corpus = Path(corpus_dir) if corpus_dir else None
     if corpus is not None:
         corpus.mkdir(parents=True, exist_ok=True)
     for seed in range(base_seed, base_seed + count):
         key = scenario_key(config, seed, quick)
-        payload = None
-        if use_store and journal is not None:
-            payload = journal.get(key)
-            if payload is not None:
-                result.journal_hits += 1
-        if payload is None and use_store and cache is not None:
-            payload = cache.get(key)
-            if payload is not None:
-                result.cache_hits += 1
-                if journal is not None:
-                    journal.record(key, payload)
-        if payload is None:
+        payload, source = lookup_payload(key, journal, cache)
+        if source == "journal":
+            result.journal_hits += 1
+        elif source == "cache":
+            result.cache_hits += 1
+        else:
             payload = scenario_payload(seed, config, quick=quick,
                                        reduce_failing=reduce_failing,
                                        tier_runner=tier_runner)
             verdict = payload["verdict"]
             result.simulated += 1
-            if use_store:
-                if journal is not None:
-                    journal.record(key, payload)
-                if cache is not None:
-                    cache.put(key, payload)
+            store_payload(key, payload, journal, cache)
             if progress is not None:
                 status = "ok" if verdict["ok"] else "DISAGREEMENT"
                 progress(f"scenario {seed}: {status} "

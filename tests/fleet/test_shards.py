@@ -103,7 +103,8 @@ class TestPartition:
 
 class TestExecuteAndMerge:
     def test_cached_and_fresh_units_are_identical(self, tmp_path):
-        """The ``cached`` marker must never leak into an aggregate."""
+        """Where a unit's payload came from never leaks into an
+        aggregate."""
         spec = CampaignSpec(seeds=(1,), shard_size=4)
         shard = partition(spec)[0]
         cache = ResultCache(tmp_path)

@@ -171,6 +171,22 @@ class TestJournalResume:
         resumed.run([GOOD])
         assert resumed.journal_hits == 1 and resumed.cache_hits == 0
 
+    def test_cache_hits_are_journaled(self, tmp_path):
+        """A warm-cache batch still checkpoints every job: resuming the
+        journal without the cache simulates nothing."""
+        cache = ResultCache(tmp_path / "cache")
+        ParallelRunner(jobs=1, cache=cache).run([GOOD, GOOD2])
+        path = tmp_path / "suite.jsonl"
+        warm = ParallelRunner(jobs=1, cache=cache,
+                              journal=RunJournal(path))
+        warm.run([GOOD, GOOD2])
+        assert warm.cache_hits == 2 and warm.simulations == 0
+        assert len(path.read_text().splitlines()) == 2
+        resumed = ParallelRunner(jobs=1,
+                                 journal=RunJournal(path, resume=True))
+        resumed.run([GOOD, GOOD2])
+        assert resumed.simulations == 0 and resumed.journal_hits == 2
+
     def test_truncated_tail_is_tolerated(self, tmp_path):
         path = tmp_path / "suite.jsonl"
         ParallelRunner(jobs=1, journal=RunJournal(path)).run(self.BATCH)
