@@ -13,7 +13,7 @@ Public API surface (see README.md for a tour):
 * :mod:`repro.workloads.parsec` — the ten PARSEC-like benchmarks.
 """
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 from repro.core.analysis import SharedDataAnalysis
 from repro.core.config import AikidoConfig

@@ -12,7 +12,8 @@
 streams every access + synchronization event into a chunked, CRC-framed
 event log (atomic finalize — a killed recording leaves no torn file
 behind). ``replay`` feeds that log to N detectors with zero
-re-simulation; ``--jobs`` fans the analyses out over worker processes.
+re-simulation; ``--jobs`` fans the analyses out over worker processes
+(0 = one per CPU, as for every other verb).
 
 Exit codes follow the repo contract: 0 ok; 2 usage error, harness
 error, or corrupt/torn log; 3 cross-analysis disagreement or a
@@ -60,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"comma-separated (default "
                              f"{DEFAULT_ANALYSES})")
     replay.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (1 = inline; the merged "
-                             "verdicts are identical either way)")
+                        help="worker processes (0 = one per CPU, 1 = "
+                             "inline; the merged verdicts are identical "
+                             "either way)")
     replay.add_argument("--json", metavar="PATH", default=None,
                         help="dump the merged verdict document")
     replay.add_argument("--no-check", action="store_true",

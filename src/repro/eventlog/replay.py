@@ -6,9 +6,11 @@ produced. :func:`record_run` pays the simulation cost once, streaming
 the access + synchronization stream into a chunked
 :class:`~repro.eventlog.log.EventLogWriter`; :class:`ReplayFanout` then
 feeds the finalized log to any number of detectors with **zero**
-re-simulation — in parallel (one worker process per analysis, each
-iterating the log chunk by chunk) or inline, with bit-identical merged
-output either way.
+re-simulation. Each (log, analysis) pair is a :class:`ReplayUnit` run by
+the harness's :class:`~repro.harness.parallel.ParallelRunner` — inline,
+or in its process pool (one unit per analysis, each iterating the log
+chunk by chunk) with the same timeout, retry and worker-death recovery
+as suite jobs — with bit-identical merged output either way.
 
 Verdicts are canonical JSON-safe dicts (:func:`detector_verdict`), so
 "replay equals live" is a plain ``==`` between a replayed verdict and
@@ -19,8 +21,8 @@ replay-equivalence tests assert on every bundled workload.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
@@ -39,6 +41,7 @@ from repro.eventlog.log import (
     EventLogWriter,
 )
 from repro.guestos.kernel import Kernel
+from repro.harness.parallel import ParallelRunner, Unit, resolve_jobs
 
 _DEFAULT_BUDGET = 200_000_000
 
@@ -174,34 +177,44 @@ def live_run_verdict(program, name: str, *, seed: int = 0,
     return detector_verdict(name, detector)
 
 
-def replay_log(path: str, name: str, counters=None) -> Dict:
+def replay_log(path: str, name: str) -> Dict:
     """Replay one log through one analysis, chunk by chunk."""
     detector = build_detector(name)
     for _, entries in EventLogReader(path).iter_chunks():
         replay(entries, detector)
-        if counters is not None:
-            counters.bump("events_replayed", len(entries))
-            counters.bump("chunks_replayed")
-    if counters is not None:
-        counters.bump("analyses_run")
     return detector_verdict(name, detector)
 
 
-def _fanout_worker(path: str, name: str) -> Dict:
-    """Top-level worker body (must be picklable for the process pool)."""
-    return replay_log(path, name)
+@dataclass(frozen=True)
+class ReplayUnit(Unit):
+    """One (log, analysis) replay as a :class:`ParallelRunner` unit.
+
+    Keyless: a replay is cheap next to the simulation it replaces, so it
+    is never journaled or cached.
+    """
+
+    path: str
+    analysis: str
+
+    def execute(self) -> Dict:
+        return replay_log(self.path, self.analysis)
+
+    def label(self) -> str:
+        return f"replay {self.analysis}"
 
 
 class ReplayFanout:
     """Replay one recorded log into N analyses, merged deterministically.
 
-    ``jobs > 1`` runs one worker process per analysis (each streams the
-    log's chunks independently — the per-chunk framing means no worker
-    ever holds more than one chunk of decoded entries); ``jobs == 1``
-    replays inline. Both paths produce the identical merged document:
-    verdicts keyed by analysis in sorted-name order, plus the
-    cross-analysis disagreement list. With ``check=True`` a non-empty
-    disagreement list raises
+    ``jobs`` means what ``--jobs`` means everywhere (0 = one worker per
+    CPU, 1 = inline): the :class:`ReplayUnit`\\ s run through a
+    :class:`ParallelRunner`, each streaming the log's chunks
+    independently — the per-chunk framing means no worker ever holds
+    more than one chunk of decoded entries. Every ``jobs`` value
+    produces the identical merged document: verdicts keyed by analysis
+    in sorted-name order, plus the cross-analysis disagreement list.
+    A replay that fails raises :class:`~repro.errors.SuiteFailureError`.
+    With ``check=True`` a non-empty disagreement list raises
     :class:`~repro.errors.InvariantViolationError` (the
     ``analysis_agreement`` replay invariant).
     """
@@ -215,42 +228,28 @@ class ReplayFanout:
                 raise HarnessError(
                     f"unknown analysis {name!r}; registered: "
                     f"{', '.join(sorted(ANALYSES))}")
-        if jobs < 1:
-            raise HarnessError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+        self.jobs = resolve_jobs(jobs)
         self.counters = counters
 
     def run(self, path: str, *, check: bool = True) -> Dict:
         # Validate the whole log once up front (CRCs, trailer totals):
-        # cheaper than failing identically in N workers, and it yields
-        # the stat block for the merged document.
+        # cheaper than failing identically in N units, and it yields
+        # the stat block for the merged document and the counters.
         stat = EventLogReader(path).stat()
-        verdicts: Dict[str, Dict] = {}
-        if self.jobs == 1 or len(self.analyses) == 1:
-            for name in self.analyses:
-                verdicts[name] = replay_log(path, name, self.counters)
-        else:
-            workers = min(self.jobs, len(self.analyses))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {name: pool.submit(_fanout_worker, path, name)
-                           for name in self.analyses}
-                for name in self.analyses:
-                    verdicts[name] = futures[name].result()
-            if self.counters is not None:
-                # Workers cannot share the parent's counters; account
-                # for their traffic here (each replayed the full log).
-                per_analysis_events = stat["events"]
-                per_analysis_chunks = stat["chunks"]
-                for _ in self.analyses:
-                    self.counters.bump("events_replayed",
-                                       per_analysis_events)
-                    self.counters.bump("chunks_replayed",
-                                       per_analysis_chunks)
-                    self.counters.bump("analyses_run")
+        runner = ParallelRunner(jobs=self.jobs)
+        replayed = runner.run([ReplayUnit(path, name)
+                               for name in self.analyses])
+        verdicts = dict(zip(self.analyses, replayed))
         block_sets = {name: set(verdict["blocks"])
                       for name, verdict in verdicts.items()}
         disagreements = cross_analysis_disagreements(block_sets)
         if self.counters is not None:
+            # Units cannot share this process's counters; each replayed
+            # the full log, so account for them here.
+            for _ in self.analyses:
+                self.counters.bump("events_replayed", stat["events"])
+                self.counters.bump("chunks_replayed", stat["chunks"])
+                self.counters.bump("analyses_run")
             self.counters.bump("replays_completed")
             self.counters.bump("disagreements", len(disagreements))
         # Deliberately excludes ``jobs``: the merged document describes

@@ -2,9 +2,10 @@
 
 The single-host :class:`~repro.harness.parallel.ParallelRunner` caps a
 campaign at one machine and one process tree: a crashed host loses
-everything not yet journaled, and a million-run chaos x seed sweep does
-not fit in one ``ProcessPoolExecutor``. This package refactors the
-runner/journal/cache trio into a small distributed service:
+everything not yet journaled, and a million-run chaos x seed sweep
+outgrows one machine's process pool. This package spreads the same
+units over a small distributed service; each worker still executes its
+shard's units through an inline ``ParallelRunner``:
 
 * :mod:`repro.fleet.protocol` — newline-delimited JSON frames over a
   socket (local TCP now, multi-host later), with strict size and shape

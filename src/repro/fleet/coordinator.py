@@ -499,8 +499,7 @@ class FleetCoordinator:
         self.counters.bump("shards_inline")
         fleet_instant(self.tracer, "inline_fallback",
                       shard=shard.shard_id[:12], index=shard.index)
-        aggregate = execute_shard(shard, self.spec, cache=self.cache,
-                                  fp=self.fp)
+        aggregate = execute_shard(shard, self.spec, cache=self.cache)
         self._record_done(shard, aggregate)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,10 @@ makes WAL replay and cross-run dedup sound.
 :func:`execute_shard` is the one execution path — workers call it over
 the wire, the coordinator calls it for inline degradation, and
 :func:`serial_report` calls it for the single-host reference — so the
-merged report is bit-identical no matter which path ran each shard.
+merged report is bit-identical no matter which path ran each shard. It
+runs every unit through an inline
+:class:`~repro.harness.parallel.ParallelRunner`, the executor suites and
+fuzz campaigns use too.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.chaos.plan import ChaosPlan
 from repro.core.config import AikidoConfig
 from repro.fleet.protocol import FleetError
-from repro.harness.journal import lookup_payload, store_payload
-from repro.harness.parallel import (Job, _guarded_outcome, fingerprint,
-                                    job_key)
+from repro.harness.parallel import Job, ParallelRunner, Unit, fingerprint
 from repro.harness.resultcache import ResultCache
 
 #: Default units per shard. Small enough that a lost worker forfeits
@@ -216,38 +217,20 @@ def partition(spec: CampaignSpec,
 # ---------------------------------------------------------------------
 # execution (shared by workers, inline degradation, and the serial ref)
 # ---------------------------------------------------------------------
-def _suite_unit_outcome(unit: Dict, cache: Optional[ResultCache],
-                        fp: str) -> Dict:
-    job = job_from_canonical(unit["job"])
-    key = job_key(job, fp)
-    payload, _ = lookup_payload(key, None, cache)
-    if payload is not None:
-        return {"status": "ok", "key": key, "payload": payload}
-    outcome = _guarded_outcome(job, timeout=None)
-    outcome["key"] = key
-    if outcome["status"] == "ok":
-        store_payload(key, outcome["payload"], None, cache)
-    return outcome
+def _shard_units(shard: ShardSpec, spec: CampaignSpec) -> List[Unit]:
+    """The runner units of one shard, in order."""
+    if shard.kind == "fuzz":
+        from repro.scengen.campaign import ScenarioUnit
+        from repro.scengen.generator import DEFAULT_CONFIG, QUICK_CONFIG
 
-
-def _fuzz_unit_outcome(unit: Dict, cache: Optional[ResultCache],
-                       quick: bool) -> Dict:
-    from repro.scengen.campaign import scenario_key, scenario_payload
-    from repro.scengen.generator import DEFAULT_CONFIG, QUICK_CONFIG
-
-    config = QUICK_CONFIG if quick else DEFAULT_CONFIG
-    seed = unit["seed"]
-    key = scenario_key(config, seed, quick)
-    payload, _ = lookup_payload(key, None, cache)
-    if payload is None:
-        payload = scenario_payload(seed, config, quick=quick)
-        store_payload(key, payload, None, cache)
-    return {"status": "ok", "key": key, "payload": payload}
+        config = QUICK_CONFIG if spec.quick else DEFAULT_CONFIG
+        return [ScenarioUnit(unit["seed"], config, spec.quick)
+                for unit in shard.units]
+    return [job_from_canonical(unit["job"]) for unit in shard.units]
 
 
 def execute_shard(shard: ShardSpec, spec: CampaignSpec, *,
                   cache: Optional[ResultCache] = None,
-                  fp: Optional[str] = None,
                   unit_hook: Optional[Callable[[int], None]] = None
                   ) -> Dict:
     """Run every unit of one shard; return its aggregate payload.
@@ -258,16 +241,12 @@ def execute_shard(shard: ShardSpec, spec: CampaignSpec, *,
     no trace of where its payload came from, so a cache-served unit is
     byte-identical to a freshly simulated one.
     """
-    fp = fp if fp is not None else fingerprint()
+    runner = ParallelRunner(cache=cache)
     outcomes = []
-    for i, unit in enumerate(shard.units):
+    for i, unit in enumerate(_shard_units(shard, spec)):
         if unit_hook is not None:
             unit_hook(i)
-        if shard.kind == "fuzz":
-            outcome = _fuzz_unit_outcome(unit, cache, spec.quick)
-        else:
-            outcome = _suite_unit_outcome(unit, cache, fp)
-        outcomes.append(outcome)
+        outcomes.extend(runner.outcomes([unit]))
     failures = sum(1 for o in outcomes if o["status"] != "ok")
     return {"shard_id": shard.shard_id, "index": shard.index,
             "units": len(outcomes), "failures": failures,
@@ -330,7 +309,6 @@ def serial_report(spec: CampaignSpec, *,
     """
     fp = fingerprint()
     shards = partition(spec, fp)
-    aggregates = {shard.shard_id: execute_shard(shard, spec, cache=cache,
-                                                fp=fp)
+    aggregates = {shard.shard_id: execute_shard(shard, spec, cache=cache)
                   for shard in shards}
     return merge_report(spec, shards, aggregates, fp)

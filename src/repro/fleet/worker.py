@@ -200,13 +200,12 @@ def worker_main(address: Tuple[str, int], *,
                 return 2
             shard = ShardSpec.from_dict(frame["shard"])
             spec = CampaignSpec.from_dict(frame["campaign"])
-            fp = frame["fingerprint"]
             beat = _Heartbeat(stream, worker_id, shard.shard_id,
                               heartbeat_s)
             beat.start()
             try:
                 aggregate = execute_shard(
-                    shard, spec, cache=cache, fp=fp,
+                    shard, spec, cache=cache,
                     unit_hook=(streams.unit_hook if streams else None))
             except Exception as exc:  # noqa: BLE001 - report, don't die
                 beat.stop()

@@ -31,8 +31,8 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro all --jobs 8     # fan runs out over 8 processes
     aikido-repro all --no-cache   # force fresh simulations
 
-Suite runs fan out over a process pool (``--jobs``, default one worker
-per CPU) and are served from the on-disk result cache when an identical
+Suite runs and fuzz campaigns fan out over a process pool (``--jobs``,
+default one worker per CPU) and are served from the on-disk result cache when an identical
 run was already simulated (disable with ``--no-cache``).
 
 Robustness knobs: ``--timeout`` bounds each job's wall clock,
@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quantum", type=int,
                         default=experiments.DEFAULT_QUANTUM)
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="worker processes for suite runs "
-                             "(0 = one per CPU, 1 = serial; default 0)")
+                        help="worker processes for suite runs and fuzz "
+                             "campaigns (0 = one per CPU, 1 = serial; "
+                             "default 0)")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-simulate instead of reusing the "
                              "on-disk result cache")
@@ -273,16 +274,13 @@ def _bench_artifact(args) -> list:
     return [render_bench(doc), f"(bench json written to {path})"]
 
 
-def _fuzz_artifact(args, started: float) -> int:
+def _fuzz_artifact(args, runner: ParallelRunner, started: float) -> int:
     """Seeded differential fuzz campaign over generated scenarios."""
     from repro.scengen import render_campaign, run_campaign
 
-    cache = None if args.no_cache else ResultCache()
-    journal = (RunJournal(args.journal, resume=args.resume)
-               if args.journal else None)
     result = run_campaign(
-        args.seed, args.count, quick=args.quick, journal=journal,
-        cache=cache, corpus_dir=args.corpus_dir,
+        args.seed, args.count, quick=args.quick, runner=runner,
+        corpus_dir=args.corpus_dir,
         progress=lambda message: print(message, file=sys.stderr))
     print(render_campaign(result))
     if args.corpus_dir and result.disagreements:
@@ -296,8 +294,6 @@ def _run(args) -> int:
     started = time.monotonic()
     if args.artifact == "lint":
         return _lint_workloads(args.threads, args.benchmark)
-    if args.artifact == "fuzz":
-        return _fuzz_artifact(args, started)
     pieces = []
     cache = None if args.no_cache else ResultCache()
     journal = (RunJournal(args.journal, resume=args.resume)
@@ -305,6 +301,8 @@ def _run(args) -> int:
     runner = ParallelRunner(jobs=args.jobs, cache=cache,
                             timeout=args.timeout, retries=args.retries,
                             journal=journal)
+    if args.artifact == "fuzz":
+        return _fuzz_artifact(args, runner, started)
     chaos_plan = (ChaosPlan.recovery(seed=args.chaos_seed,
                                      intensity=args.chaos_intensity)
                   if args.chaos else None)

@@ -13,12 +13,10 @@ The format is deliberately crash-tolerant: a process killed mid-write
 leaves at most one truncated final line, which loading skips (along with
 any other undecodable line) instead of refusing the whole file. It is
 the repo's one crash-safe log: the fleet coordinator persists its shard
-state through it too (:mod:`repro.fleet.coordinator`).
-
-:func:`lookup_payload` and :func:`store_payload` own the lookup order
-every resumable runner shares — journal before cache, a cache hit is
-journaled too, store on success — so suites, fuzz campaigns and fleet
-shard units cannot drift apart.
+state through it too (:mod:`repro.fleet.coordinator`). The lookup
+order — journal before cache, a cache hit is journaled too, store on
+success — lives in :class:`~repro.harness.parallel.ParallelRunner`, the
+one executor that suites, fuzz campaigns and fleet shard units share.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
-
-from repro.harness.resultcache import ResultCache
+from typing import Dict, Iterator, Optional
 
 
 class RunJournal:
@@ -118,34 +114,3 @@ class RunJournal:
         return (f"<RunJournal {self.path} entries={len(self._entries)} "
                 f"replayed={self.replayed}>")
 
-
-def lookup_payload(key: str, journal: Optional[RunJournal],
-                   cache: Optional[ResultCache]
-                   ) -> Tuple[Optional[Dict], Optional[str]]:
-    """Find ``key``'s payload: journal first, then cache.
-
-    Returns ``(payload, source)`` with ``source`` ``"journal"``,
-    ``"cache"`` or ``None`` (a miss: simulate, then
-    :func:`store_payload`). A cache hit is journaled on the spot, so a
-    resume without the cache still replays it.
-    """
-    if journal is not None:
-        payload = journal.get(key)
-        if payload is not None:
-            return payload, "journal"
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            if journal is not None:
-                journal.record(key, payload)
-            return payload, "cache"
-    return None, None
-
-
-def store_payload(key: str, payload: Dict, journal: Optional[RunJournal],
-                  cache: Optional[ResultCache]) -> None:
-    """Checkpoint one successful result: journal first, then cache."""
-    if journal is not None:
-        journal.record(key, payload)
-    if cache is not None:
-        cache.put(key, payload)

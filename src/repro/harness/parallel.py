@@ -1,18 +1,26 @@
-"""Process-pool execution of harness runs, with an on-disk result cache.
+"""The repo's one local executor: process-pool or inline units of work.
 
-Every run of the evaluation (§5) is an independent, deterministic
-simulation: the same job tuple always produces the same metrics. That
-makes the suite embarrassingly parallel and perfectly cacheable, and
-this module exploits both:
+Every run of the evaluation (§5) is an independent, deterministic unit
+of work: the same job tuple always produces the same metrics, the same
+scenario seed the same oracle verdict, the same (log, analysis) pair
+the same replayed verdict. That makes the grid embarrassingly parallel
+and perfectly cacheable, and this module exploits both:
 
-* :class:`Job` — one run, described by plain data (a registered
-  benchmark name rather than a live :class:`~repro.machine.program.Program`,
-  so it pickles cheaply and hashes stably);
-* :class:`ParallelRunner` — executes a batch of jobs via
+* :class:`Unit` — the contract: ``key(fp)`` names the result (or is
+  None for a unit that is never journaled or cached) and ``execute()``
+  computes it as a JSON-safe payload;
+* :class:`Job` — one simulation run, described by plain data (a
+  registered benchmark name rather than a live
+  :class:`~repro.machine.program.Program`, so it pickles cheaply and
+  hashes stably); fuzz scenarios (:mod:`repro.scengen.campaign`) and
+  replays (:mod:`repro.eventlog.replay`) are the other units;
+* :class:`ParallelRunner` — executes a batch of units via
   :class:`concurrent.futures.ProcessPoolExecutor` (``jobs>1``) or inline
-  (``jobs=1``, byte-for-byte today's serial behavior), consulting a
-  :class:`~repro.harness.resultcache.ResultCache` first when one is
-  attached;
+  (``jobs=1``, byte-for-byte the serial behavior), consulting a
+  :class:`~repro.harness.journal.RunJournal` and a
+  :class:`~repro.harness.resultcache.ResultCache` first when attached;
+  suites, fuzz campaigns, replay fan-outs and fleet shards all run
+  through it;
 * :func:`fingerprint` — hash of the package version plus every active
   cost constant, folded into each cache key so editing the cost model
   (or running under a :class:`~repro.harness.costmodel.CostModel`
@@ -45,7 +53,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.analyses.fasttrack.reports import RaceReport
@@ -57,7 +65,7 @@ from repro.errors import (
     SuiteFailureError,
 )
 from repro.harness.costmodel import snapshot
-from repro.harness.journal import RunJournal, lookup_payload, store_payload
+from repro.harness.journal import RunJournal
 from repro.harness.resultcache import ResultCache
 from repro.harness.runner import MODES, RunResult, run_mode
 
@@ -67,8 +75,32 @@ from repro.harness.runner import MODES, RunResult, run_mode
 _RETRYABLE_KINDS = frozenset({"timeout", "exception", "worker-lost"})
 
 
+class Unit:
+    """One picklable, deterministic unit of work for :class:`ParallelRunner`.
+
+    ``key(fp)`` is the unit's journal/cache key under the harness
+    fingerprint ``fp``, or None when the unit is never journaled or
+    cached; ``execute()`` computes the result as a JSON-safe payload
+    (in a pool worker or inline); ``decode(payload)`` is what
+    :meth:`ParallelRunner.run` hands back for it; ``label()`` names the
+    unit in a :class:`JobFailure`.
+    """
+
+    def key(self, fp: str) -> Optional[str]:
+        return None
+
+    def execute(self) -> Dict:
+        raise NotImplementedError
+
+    def decode(self, payload: Dict) -> Any:
+        return payload
+
+    def label(self) -> str:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Job:
+class Job(Unit):
     """One simulation run, described by plain (picklable, hashable) data.
 
     ``workload`` is a registered benchmark name (see
@@ -102,6 +134,18 @@ class Job:
             "config": (dataclasses.asdict(self.config)
                        if self.config is not None else None),
         }
+
+    def key(self, fp: str) -> str:
+        return job_key(self, fp)
+
+    def execute(self) -> Dict:
+        return result_to_dict(execute_job(self))
+
+    def decode(self, payload: Dict) -> RunResult:
+        return result_from_dict(payload)
+
+    def label(self) -> str:
+        return f"{self.workload}/{self.mode}"
 
 
 def fingerprint() -> str:
@@ -207,17 +251,18 @@ def execute_job(job: Job) -> RunResult:
 
 @dataclass
 class JobFailure:
-    """Per-job failure record: what failed, how, and what it left behind.
+    """Per-unit failure record: what failed, how, and what it left behind.
 
-    Takes a failed job's slot in the batch result list so one bad run no
-    longer costs the suite every *good* run. ``kind`` is one of
+    Takes a failed unit's slot in the batch result list so one bad run no
+    longer costs the suite every *good* run. ``job`` is the failed
+    :class:`Unit` (a :class:`Job` for suite runs). ``kind`` is one of
     ``timeout`` / ``simulated`` / ``exception`` / ``worker-lost``;
     ``address`` / ``thread_id`` / ``invariant`` carry the structured
     fields of :class:`~repro.errors.SegmentationFaultError` and
     :class:`~repro.errors.InvariantViolationError` when present.
     """
 
-    job: Job
+    job: Unit
     kind: str
     error_type: str
     message: str
@@ -228,7 +273,7 @@ class JobFailure:
     details: Dict = field(default_factory=dict)
 
     def describe(self) -> str:
-        parts = [f"{self.job.workload}/{self.job.mode}",
+        parts = [self.job.label(),
                  f"[{self.kind}] {self.error_type}: {self.message}"]
         if self.address is not None:
             parts.append(f"addr={self.address:#x}")
@@ -295,8 +340,8 @@ def _error_outcome(kind: str, exc: BaseException) -> Dict:
     return outcome
 
 
-def _guarded_outcome(job: Job, timeout: Optional[float]) -> Dict:
-    """Run one job, capturing any failure as a plain outcome dict.
+def _guarded_outcome(unit: Unit, timeout: Optional[float]) -> Dict:
+    """Execute one unit, capturing any failure as a plain outcome dict.
 
     Outcome dicts (not exceptions) cross the process boundary: exception
     pickling would silently drop the structured fields of errors like
@@ -305,20 +350,31 @@ def _guarded_outcome(job: Job, timeout: Optional[float]) -> Dict:
     """
     try:
         with _deadline(timeout):
-            result = execute_job(job)
+            payload = unit.execute()
     except JobTimeoutError as exc:
         return _error_outcome("timeout", exc)
     except ReproError as exc:
         return _error_outcome("simulated", exc)
     except Exception as exc:  # noqa: BLE001 - the pool must survive anything
         return _error_outcome("exception", exc)
-    return {"status": "ok", "payload": result_to_dict(result)}
+    return {"status": "ok", "payload": payload}
 
 
-def _pool_worker(job: Job, timeout: Optional[float] = None) -> Dict:
-    """Top-level (picklable) worker: run one job, ship the outcome back."""
+def _init_pool_worker(parent: int) -> None:
+    """Pool-worker start-up: mark the process, and exit once orphaned.
+
+    A SIGKILLed parent (the kill/resume case the journal exists for)
+    would otherwise leave its workers blocked on the pool's call queue
+    forever; the watchdog ends them within half a second.
+    """
     os.environ["AIKIDO_POOL_WORKER"] = "1"
-    return _guarded_outcome(job, timeout)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -334,40 +390,49 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-#: What ParallelRunner.run hands back per job.
-BatchEntry = Union[RunResult, JobFailure]
+#: What ParallelRunner.run hands back per unit: ``unit.decode(payload)``
+#: (a RunResult for a Job) or a failure record.
+BatchEntry = Any
+#: Called in the runner's process as each unit finishes executing.
+Progress = Callable[[Unit, Dict], None]
 
 
 class ParallelRunner:
-    """Execute job batches across processes, reusing cached results.
+    """Execute unit batches across processes, reusing recorded results.
 
     ``jobs=1`` runs everything inline in submission order — exactly the
-    pre-existing serial behavior. ``jobs>1`` fans the batch out over a
+    serial behavior. ``jobs>1`` fans the batch out over a
     :class:`ProcessPoolExecutor`; ``jobs=0`` (or None) sizes the pool to
-    the machine. ``cache`` (a :class:`ResultCache` or None) short-circuits
-    any job whose key is already archived.
+    the machine. Units are :class:`Unit`\\ s: suite :class:`Job`\\ s,
+    fuzz scenarios, replays, fleet shard units.
+
+    Lookup order, for every unit with a key: the ``journal`` first, then
+    the ``cache`` (a :class:`ResultCache` or None; a hit is journaled
+    too, so a resume without the cache still replays it); a miss is
+    executed and, on success, recorded — journal first, then cache.
 
     Hardening knobs (all keyword-only, all off by default):
 
     ``timeout``
-        Per-job wall-clock budget in seconds; an overrunning job becomes
-        a ``timeout`` failure record instead of hanging the suite.
+        Per-unit wall-clock budget in seconds; an overrunning unit
+        becomes a ``timeout`` failure record instead of hanging the
+        batch.
     ``retries``
         Extra attempts granted to *transient* failures (timeout, host
         exception, killed worker). Simulated errors never retry — the
         simulation is deterministic, so the rerun would fail identically.
     ``journal``
-        A :class:`RunJournal`; every finished or cache-served job is
+        A :class:`RunJournal`; every finished or cache-served unit is
         checkpointed, and journaled results are replayed before cache
-        lookup, so resuming an interrupted suite re-simulates nothing
+        lookup, so resuming an interrupted batch re-executes nothing
         that finished.
 
     A worker death (:class:`BrokenProcessPool`) is absorbed: completed
-    results are kept, the pool is rebuilt for jobs with retry budget, and
-    jobs without budget run inline in this process — the batch always
-    comes back full.
+    results are kept, the pool is rebuilt for units with retry budget,
+    and units without budget run inline in this process — the batch
+    always comes back full.
 
-    Counters: ``simulations`` (runs actually started), ``cache_hits``,
+    Counters: ``simulations`` (units actually started), ``cache_hits``,
     ``journal_hits``, ``timeouts``, ``retries_performed``,
     ``pool_recoveries``, ``inline_fallbacks`` — the acceptance check "a
     warm rerun performs zero simulations" is ``runner.simulations == 0``.
@@ -392,32 +457,91 @@ class ParallelRunner:
         self.pool_recoveries = 0
         self.inline_fallbacks = 0
 
-    def run(self, jobs: Sequence[Job],
-            strict: bool = True) -> List[BatchEntry]:
+    def run(self, units: Sequence[Unit], strict: bool = True,
+            progress: Optional[Progress] = None) -> List[BatchEntry]:
         """Run a batch; entries come back in submission order.
 
-        With ``strict=True`` (default) any failed job raises
+        Each entry is ``unit.decode(payload)`` or a :class:`JobFailure`.
+        With ``strict=True`` (default) any failed unit raises
         :class:`SuiteFailureError` *after* the whole batch settles; the
         exception carries both the failure records and the full mixed
         result list, so completed work is never lost. ``strict=False``
-        returns the mixed list directly.
+        returns the mixed list directly. ``progress(unit, payload)`` is
+        called here as each unit finishes executing (journal and cache
+        hits excepted).
         """
-        jobs = list(jobs)
-        results: List[Optional[BatchEntry]] = [None] * len(jobs)
-        keys: List[str] = []
+        units = list(units)
+        results: List[BatchEntry] = []
+        for unit, (outcome, attempts) in zip(
+                units, self._execute(units, progress)):
+            fields = {name: value for name, value in outcome.items()
+                      if name not in ("status", "key")}
+            results.append(unit.decode(fields["payload"])
+                           if outcome["status"] == "ok" else
+                           JobFailure(unit, attempts=attempts, **fields))
+        failures = [entry for entry in results
+                    if isinstance(entry, JobFailure)]
+        if failures and strict:
+            lines = "; ".join(f.describe() for f in failures)
+            raise SuiteFailureError(
+                f"{len(failures)} of {len(units)} jobs failed: {lines}",
+                failures=failures, results=results)
+        return results
+
+    def outcomes(self, units: Sequence[Unit]) -> List[Dict]:
+        """Run a batch; return each unit's plain outcome dict, in order.
+
+        ``{"status": "ok", "key", "payload"}`` on success, else the
+        error fields (``status``, ``kind``, ``error_type``, ``message``
+        and any structured extras) plus ``key`` — the JSON-safe form a
+        fleet shard aggregate carries. Never raises for a failed unit.
+        """
+        return [outcome for outcome, _ in self._execute(list(units), None)]
+
+    # ------------------------------------------------------------------
+    # lookup, store, execution backends
+    # ------------------------------------------------------------------
+    def _lookup(self, key: Optional[str]) -> Optional[Dict]:
+        """A recorded payload for ``key``: journal first, then cache."""
+        if key is None:
+            return None
+        if self.journal is not None:
+            payload = self.journal.get(key)
+            if payload is not None:
+                self.journal_hits += 1
+                return payload
+        if self.cache is not None:
+            payload = self.cache.get(key)
+            if payload is not None:
+                self.cache_hits += 1
+                if self.journal is not None:
+                    self.journal.record(key, payload)
+                return payload
+        return None
+
+    def _store(self, key: Optional[str], payload: Dict) -> None:
+        """Checkpoint one successful result: journal first, then cache."""
+        if key is None:
+            return
+        if self.journal is not None:
+            self.journal.record(key, payload)
+        if self.cache is not None:
+            self.cache.put(key, payload)
+
+    def _execute(self, units: List[Unit], progress: Optional[Progress]
+                 ) -> List[Tuple[Dict, int]]:
+        """Settle every unit to ``(keyed outcome, attempts)``."""
+        settled: List[Optional[Tuple[Dict, int]]] = [None] * len(units)
+        keys: List[Optional[str]] = []
         pending: List[int] = []
 
         fp = fingerprint()
-        for index, job in enumerate(jobs):
-            keys.append(job_key(job, fp))
-            payload, source = lookup_payload(keys[index], self.journal,
-                                             self.cache)
-            if source == "journal":
-                self.journal_hits += 1
-            elif source == "cache":
-                self.cache_hits += 1
+        for index, unit in enumerate(units):
+            keys.append(unit.key(fp))
+            payload = self._lookup(keys[index])
             if payload is not None:
-                results[index] = result_from_dict(payload)
+                settled[index] = ({"status": "ok", "key": keys[index],
+                                   "payload": payload}, 1)
             else:
                 pending.append(index)
 
@@ -425,45 +549,36 @@ class ParallelRunner:
             self.simulations += len(pending)
             queue: List[Tuple[int, int]] = [(i, 1) for i in pending]
             if self.jobs == 1 or len(pending) == 1:
-                self._run_inline(jobs, queue, results, keys)
+                self._run_inline(units, queue, settled, keys, progress)
             else:
-                self._run_pool(jobs, queue, results, keys)
+                self._run_pool(units, queue, settled, keys, progress)
+        return settled
 
-        failures = [entry for entry in results
-                    if isinstance(entry, JobFailure)]
-        if failures and strict:
-            lines = "; ".join(f.describe() for f in failures)
-            raise SuiteFailureError(
-                f"{len(failures)} of {len(jobs)} jobs failed: {lines}",
-                failures=failures, results=results)
-        return results
-
-    # ------------------------------------------------------------------
-    # execution backends
-    # ------------------------------------------------------------------
-    def _run_inline(self, jobs: List[Job], queue: List[Tuple[int, int]],
-                    results: List[Optional[BatchEntry]],
-                    keys: List[str]) -> None:
+    def _run_inline(self, units: List[Unit], queue: List[Tuple[int, int]],
+                    settled: List, keys: List[Optional[str]],
+                    progress: Optional[Progress]) -> None:
         while queue:
             retry_queue: List[Tuple[int, int]] = []
             for index, attempt in queue:
-                outcome = _guarded_outcome(jobs[index], self.timeout)
-                self._settle(jobs, index, attempt, outcome, results, keys,
-                             retry_queue)
+                outcome = _guarded_outcome(units[index], self.timeout)
+                self._settle(units, index, attempt, outcome, settled, keys,
+                             progress, retry_queue)
             queue = retry_queue
 
-    def _run_pool(self, jobs: List[Job], queue: List[Tuple[int, int]],
-                  results: List[Optional[BatchEntry]],
-                  keys: List[str]) -> None:
+    def _run_pool(self, units: List[Unit], queue: List[Tuple[int, int]],
+                  settled: List, keys: List[Optional[str]],
+                  progress: Optional[Progress]) -> None:
         while queue:
             workers = min(self.jobs, len(queue))
             retry_queue: List[Tuple[int, int]] = []
             casualties: List[Tuple[int, int]] = []
             broken = False
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_init_pool_worker,
+                                     initargs=(os.getpid(),)) as pool:
                 futures = {
-                    pool.submit(_pool_worker, jobs[index], self.timeout):
-                    (index, attempt)
+                    pool.submit(_guarded_outcome, units[index],
+                                self.timeout): (index, attempt)
                     for index, attempt in queue
                 }
                 not_done = set(futures)
@@ -478,8 +593,8 @@ class ParallelRunner:
                             broken = True
                             casualties.append((index, attempt))
                             continue
-                        self._settle(jobs, index, attempt, outcome,
-                                     results, keys, retry_queue)
+                        self._settle(units, index, attempt, outcome,
+                                     settled, keys, progress, retry_queue)
                 if broken:
                     # The pool is dead but completed futures still hold
                     # their outcomes — harvest them, requeue the rest.
@@ -491,8 +606,8 @@ class ParallelRunner:
                         except Exception:  # noqa: BLE001 - dead future
                             casualties.append((index, attempt))
                             continue
-                        self._settle(jobs, index, attempt, outcome,
-                                     results, keys, retry_queue)
+                        self._settle(units, index, attempt, outcome,
+                                     settled, keys, progress, retry_queue)
             for index, attempt in casualties:
                 if attempt <= self.retries:
                     self.retries_performed += 1
@@ -500,23 +615,28 @@ class ParallelRunner:
                 else:
                     # No retry budget left: guarantee progress by running
                     # the casualty inline (a kill loop cannot reach us
-                    # here — this process is the suite).
+                    # here — this process is the batch's owner).
                     self.inline_fallbacks += 1
-                    outcome = _guarded_outcome(jobs[index], self.timeout)
-                    self._settle(jobs, index, attempt, outcome, results,
-                                 keys, retry_queue,
+                    outcome = _guarded_outcome(units[index], self.timeout)
+                    self._settle(units, index, attempt, outcome, settled,
+                                 keys, progress, retry_queue,
                                  lost_worker_fallback=True)
             queue = retry_queue
 
-    def _settle(self, jobs: List[Job], index: int, attempt: int,
-                outcome: Dict, results: List[Optional[BatchEntry]],
-                keys: List[str], retry_queue: List[Tuple[int, int]],
+    def _settle(self, units: List[Unit], index: int, attempt: int,
+                outcome: Dict, settled: List, keys: List[Optional[str]],
+                progress: Optional[Progress],
+                retry_queue: List[Tuple[int, int]],
                 lost_worker_fallback: bool = False) -> None:
         """Turn one outcome dict into a result, a retry, or a failure."""
+        key = keys[index]
         if outcome["status"] == "ok":
             payload = outcome["payload"]
-            results[index] = result_from_dict(payload)
-            store_payload(keys[index], payload, self.journal, self.cache)
+            self._store(key, payload)
+            settled[index] = ({"status": "ok", "key": key,
+                               "payload": payload}, attempt)
+            if progress is not None:
+                progress(units[index], payload)
             return
         kind = outcome["kind"]
         if kind == "timeout":
@@ -526,14 +646,7 @@ class ParallelRunner:
             self.retries_performed += 1
             retry_queue.append((index, attempt + 1))
             return
-        results[index] = JobFailure(
-            job=jobs[index], kind=kind,
-            error_type=outcome.get("error_type", "Exception"),
-            message=outcome.get("message", ""), attempts=attempt,
-            address=outcome.get("address"),
-            thread_id=outcome.get("thread_id"),
-            invariant=outcome.get("invariant"),
-            details=outcome.get("details", {}))
+        settled[index] = (dict(outcome, key=key), attempt)
 
     def run_one(self, job: Job) -> RunResult:
         """Convenience wrapper: run a single job through cache + pool."""

@@ -17,7 +17,7 @@ from typing import Dict
 COUNTER_NAMES = (
     # Recording side (bumped by EventLogWriter).
     "events_recorded", "chunks_written", "bytes_written", "logs_finalized",
-    # Replay side (bumped by ReplayFanout / replay_log).
+    # Replay side (bumped by ReplayFanout once its units settle).
     "events_replayed", "chunks_replayed", "replays_completed",
     "analyses_run", "simulations", "disagreements",
 )

@@ -1,10 +1,14 @@
 """Resumable fuzz campaigns over generated scenarios.
 
 A campaign is a seed range: scenario ``i`` is ``generate(base_seed + i,
-config)``, checked by the differential oracle, and its verdict is
-journaled (``--journal``/``--resume``, the same
-:class:`~repro.harness.journal.RunJournal` the suite harness uses) and
-cached (:class:`~repro.harness.resultcache.ResultCache`). Keys fold in
+config)``, checked by the differential oracle. Each scenario is a
+:class:`ScenarioUnit` run by the suite harness's
+:class:`~repro.harness.parallel.ParallelRunner`, so ``--jobs``,
+``--timeout`` and ``--retries`` apply to it and its verdict is journaled
+(``--journal``/``--resume``, a
+:class:`~repro.harness.journal.RunJournal`) and cached
+(:class:`~repro.harness.resultcache.ResultCache`) exactly like a suite
+job. Keys fold in
 the generator config, the oracle version and the harness fingerprint
 (package version + cost model), so stale verdicts never satisfy a
 lookup. A killed campaign resumed with ``--resume`` re-simulates
@@ -27,9 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.harness.journal import RunJournal, lookup_payload, store_payload
-from repro.harness.parallel import fingerprint
-from repro.harness.resultcache import ResultCache
+from repro.harness.parallel import ParallelRunner, Unit, fingerprint
 from repro.scengen.generator import (
     DEFAULT_CONFIG,
     QUICK_CONFIG,
@@ -52,7 +54,8 @@ from repro.scengen.scenario import ScenarioIR, describe, render
 ORACLE_VERSION = 4
 
 
-def scenario_key(config: GeneratorConfig, seed: int, quick: bool) -> str:
+def scenario_key(config: GeneratorConfig, seed: int, quick: bool,
+                 fp: Optional[str] = None) -> str:
     """Stable journal/cache key for one scenario's verdict."""
     basis = {
         "kind": "scengen-verdict",
@@ -60,7 +63,7 @@ def scenario_key(config: GeneratorConfig, seed: int, quick: bool) -> str:
         "config": config.canonical(),
         "seed": seed,
         "quick": quick,
-        "fingerprint": fingerprint(),
+        "fingerprint": fp if fp is not None else fingerprint(),
     }
     blob = json.dumps(basis, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -125,9 +128,9 @@ def scenario_payload(seed: int, config: GeneratorConfig, *,
                      tier_runner: Optional[TierRunner] = None) -> Dict:
     """Generate + check one scenario, returning the journal payload.
 
-    The single-scenario unit of work shared by :func:`run_campaign` and
-    the fleet's fuzz shards (:mod:`repro.fleet.shards`): both paths
-    produce byte-identical payloads for the same ``(seed, config,
+    What a :class:`ScenarioUnit` executes, for :func:`run_campaign` and
+    the fleet's fuzz shards (:mod:`repro.fleet.shards`) alike: both
+    paths produce byte-identical payloads for the same ``(seed, config,
     quick)``, which is what makes a distributed fuzz campaign's merged
     report bit-identical to the serial one.
     """
@@ -139,11 +142,32 @@ def scenario_payload(seed: int, config: GeneratorConfig, *,
     return payload
 
 
+@dataclass(frozen=True)
+class ScenarioUnit(Unit):
+    """One fuzz scenario as a :class:`ParallelRunner` unit."""
+
+    seed: int
+    config: GeneratorConfig
+    quick: bool = True
+    reduce_failing: bool = True
+    tier_runner: Optional[TierRunner] = None
+
+    def key(self, fp: str) -> str:
+        return scenario_key(self.config, self.seed, self.quick, fp)
+
+    def execute(self) -> Dict:
+        return scenario_payload(self.seed, self.config, quick=self.quick,
+                                reduce_failing=self.reduce_failing,
+                                tier_runner=self.tier_runner)
+
+    def label(self) -> str:
+        return f"scenario {self.seed}"
+
+
 def run_campaign(base_seed: int, count: int, *,
                  config: Optional[GeneratorConfig] = None,
                  quick: bool = True,
-                 journal: Optional[RunJournal] = None,
-                 cache: Optional[ResultCache] = None,
+                 runner: Optional[ParallelRunner] = None,
                  corpus_dir: Optional[str] = None,
                  reduce_failing: bool = True,
                  tier_runner: Optional[TierRunner] = None,
@@ -151,38 +175,36 @@ def run_campaign(base_seed: int, count: int, *,
                  ) -> CampaignResult:
     """Check ``count`` scenarios starting at ``base_seed``.
 
+    ``runner`` executes the scenarios and owns the journal and cache
+    (default: an inline runner with neither). A failed scenario unit
+    (timeout, host exception) raises
+    :class:`~repro.errors.SuiteFailureError` once the batch settles.
     ``tier_runner`` overrides the oracle's tier execution (tests plant
-    divergence bugs there); journal and cache are bypassed in that case
-    so a planted bug can never poison real verdicts.
+    divergence bugs there); it runs on a fresh inline runner, bypassing
+    journal and cache, so a planted bug can never poison real verdicts.
     """
     config = config or (QUICK_CONFIG if quick else DEFAULT_CONFIG)
-    if tier_runner is not None:
-        journal = cache = None
-    result = CampaignResult()
-    corpus = Path(corpus_dir) if corpus_dir else None
-    if corpus is not None:
+    if runner is None or tier_runner is not None:
+        runner = ParallelRunner()
+    units = [ScenarioUnit(seed, config, quick, reduce_failing, tier_runner)
+             for seed in range(base_seed, base_seed + count)]
+
+    def report(unit: ScenarioUnit, payload: Dict) -> None:
+        verdict = payload["verdict"]
+        status = "ok" if verdict["ok"] else "DISAGREEMENT"
+        progress(f"scenario {unit.seed}: {status} [{verdict['outcome']}]")
+
+    before = (runner.simulations, runner.journal_hits, runner.cache_hits)
+    payloads = runner.run(units, progress=report if progress else None)
+    result = CampaignResult(
+        payloads, simulated=runner.simulations - before[0],
+        journal_hits=runner.journal_hits - before[1],
+        cache_hits=runner.cache_hits - before[2])
+    if corpus_dir:
+        corpus = Path(corpus_dir)
         corpus.mkdir(parents=True, exist_ok=True)
-    for seed in range(base_seed, base_seed + count):
-        key = scenario_key(config, seed, quick)
-        payload, source = lookup_payload(key, journal, cache)
-        if source == "journal":
-            result.journal_hits += 1
-        elif source == "cache":
-            result.cache_hits += 1
-        else:
-            payload = scenario_payload(seed, config, quick=quick,
-                                       reduce_failing=reduce_failing,
-                                       tier_runner=tier_runner)
-            verdict = payload["verdict"]
-            result.simulated += 1
-            store_payload(key, payload, journal, cache)
-            if progress is not None:
-                status = "ok" if verdict["ok"] else "DISAGREEMENT"
-                progress(f"scenario {seed}: {status} "
-                         f"[{verdict['outcome']}]")
-        result.payloads.append(payload)
-        if corpus is not None and not payload["verdict"]["ok"]:
-            path = corpus / f"seed-{seed:06d}.json"
+        for payload in result.disagreements:
+            path = corpus / f"seed-{payload['seed']:06d}.json"
             path.write_text(json.dumps(payload, indent=2,
                                        sort_keys=True) + "\n")
     return result

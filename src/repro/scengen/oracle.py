@@ -84,7 +84,7 @@ from repro.chaos.plan import ChaosPlan
 from repro.eventlog.encoding import decode_entries, encode_entries
 from repro.core.config import AikidoConfig
 from repro.dbr.engine import DBREngine
-from repro.errors import ReproError
+from repro.errors import JobTimeoutError, ReproError
 from repro.guestos.kernel import Kernel
 from repro.harness.runner import (
     _detector_profile,
@@ -202,6 +202,8 @@ def default_tier_runner(ir: ScenarioIR, mode: str, tier: str,
             surface.update(_race_payload(result.races))
             return ("ok", surface)
         raise ValueError(f"oracle mode {mode!r} unknown")
+    except JobTimeoutError:
+        raise  # the harness's wall-clock budget, not a guest outcome
     except ReproError as exc:
         return ("raised", type(exc).__name__, str(exc))
 
@@ -218,6 +220,8 @@ def _record_trace(ir: ScenarioIR, budget: int):
     engine.attach_tool(tool)
     try:
         kernel.run(max_instructions=budget)
+    except JobTimeoutError:
+        raise
     except ReproError:
         return None
     return recorder

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Tuple
 
-from repro.errors import ReproError
+from repro.errors import JobTimeoutError, ReproError
 from repro.scengen.scenario import ScenarioIR, WorkerSpec
 
 
@@ -140,6 +140,8 @@ def reduce_scenario(ir: ScenarioIR,
             attempts += 1
             try:
                 still_failing = predicate(candidate)
+            except JobTimeoutError:
+                raise
             except ReproError:
                 still_failing = False
             if still_failing:

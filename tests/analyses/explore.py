@@ -5,7 +5,8 @@ detector's ability to detect races is often tied to the particular
 execution schedule seen by the application" (paper §7.3). This harness
 makes that concrete: run the same program under N scheduler seeds (and
 optionally several quanta), union and intersect the race reports, and
-report per-race detection frequency.
+report per-race detection frequency. A test helper: the
+schedule-dependence tests of ``test_hbgraph_explore.py`` drive it.
 
 Typical use::
 

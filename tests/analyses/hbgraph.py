@@ -9,7 +9,9 @@ all-to-all). Two conflicting accesses race iff neither reaches the other.
 synchronization that orders the accesses (useful to see which lock is
 doing the work) or the verdict "unordered — this is a race".
 
-Uses :mod:`networkx` for reachability and path queries.
+Uses :mod:`networkx` (a ``test`` extra) for reachability and path
+queries. A test oracle: it shares no detection code with FastTrack or
+DJIT+, which ``test_cross_validation.py`` checks it against.
 """
 
 from __future__ import annotations

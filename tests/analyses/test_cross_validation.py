@@ -3,7 +3,7 @@ must agree on random traces.
 
 * FastTrack (epochs + vector clocks, `analyses.fasttrack`)
 * DJIT+ (plain vector clocks, `analyses.djit`)
-* the happens-before graph (networkx reachability, `analyses.hbgraph`)
+* the happens-before graph (networkx reachability, `tests/analyses/hbgraph.py`)
 
 They share no detection code, so agreement on hundreds of random traces
 is strong evidence each is right.
@@ -15,8 +15,7 @@ from hypothesis import given, settings
 
 from repro.analyses.djit import DjitDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
-from repro.analyses.hbgraph import HBGraph
-
+from tests.analyses.hbgraph import HBGraph
 from tests.analyses.test_fasttrack_properties import (
     N_VARS,
     sanitize,

@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 from repro.analyses.djit import DjitDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.generic_tool import FullInstrumentationTool
-from repro.analyses.hbgraph import HBGraph
 from repro.analyses.record import FullTraceRecorder, replay_into
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
 from repro.machine.asm import ProgramBuilder
+from tests.analyses.hbgraph import HBGraph
 
 N_SLOTS = 4   # shared 8-byte slots
 

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.analyses.hbgraph import HBGraph, explain_pair
 from repro.analyses.record import TraceRecorder
 from repro.core.system import AikidoSystem
-from repro.harness.explore import (
+from repro.workloads import micro
+from tests.analyses.explore import (
     ExplorationResult,
     explore,
     render_exploration,
 )
-from repro.workloads import micro
+from tests.analyses.hbgraph import HBGraph, explain_pair
 
 
 def recorded_trace(program_factory, seed=3, quantum=20):

@@ -223,7 +223,7 @@ class TestBarrierIdFidelity:
         assert rerecorded.trace == recorder.trace
 
     def test_hbgraph_labels_carry_real_barrier_ids(self):
-        from repro.analyses.hbgraph import HBGraph
+        from tests.analyses.hbgraph import HBGraph
 
         recorder = record_full(lambda: micro.barrier_phases(2, 3)[0])
         graph = HBGraph(recorder.trace).graph

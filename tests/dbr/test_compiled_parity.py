@@ -41,7 +41,7 @@ from repro.harness.runner import build_aikido_system, run_mode
 from repro.machine.asm import ProgramBuilder
 from repro.machine.tlb import TLB
 from repro.scengen.scenario import render
-from repro.scengen.strategies import scenario_irs
+from tests.scengen.strategies import scenario_irs
 from repro.workloads.parsec import benchmark_names, build_benchmark
 from tests.conftest import guest_memory_digest
 
@@ -174,7 +174,7 @@ class TestWorkloadParity:
 
 
 # ----------------------------------------------------------------------
-# seeded fuzzing over generated scenarios (repro.scengen strategies)
+# seeded fuzzing over generated scenarios (tests/scengen/strategies.py)
 # ----------------------------------------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(scenario_irs(chaos=False))

@@ -7,6 +7,9 @@ workload, for every registered analysis, however many worker processes
 do the replaying.
 """
 
+import os
+import signal
+
 import pytest
 
 from repro.chaos.invariants import cross_analysis_disagreements
@@ -93,7 +96,34 @@ class TestFanout:
 
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(HarnessError, match="jobs"):
-            ReplayFanout(["fasttrack"], jobs=0)
+            ReplayFanout(["fasttrack"], jobs=-1)
+
+    def test_killed_worker_is_recovered(self, tmp_path, monkeypatch):
+        """A replay worker SIGKILLed mid-fan-out costs nothing: its unit
+        reruns, and the merged document equals the inline one."""
+        path, _ = record_benchmark(tmp_path, "canneal")
+        inline = ReplayFanout(["fasttrack", "djit"], jobs=1).run(path)
+        flag = str(tmp_path / "killed")
+        owner = os.getpid()
+        factory = ANALYSES["fasttrack"]
+
+        def dies_once_in_a_worker():
+            # The first build in any process but this one dies; the flag
+            # file (O_CREAT | O_EXCL) makes "once" hold across processes.
+            if os.getpid() != owner:
+                try:
+                    fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    pass
+                else:
+                    os.close(fd)
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return factory()
+
+        monkeypatch.setitem(ANALYSES, "fasttrack", dies_once_in_a_worker)
+        parallel = ReplayFanout(["fasttrack", "djit"], jobs=2).run(path)
+        assert os.path.exists(flag), "no worker was killed"
+        assert parallel == inline
 
 
 class TestDisagreementCheck:

@@ -71,8 +71,7 @@ class ScriptedWorker:
     def execute(self, assign, cache=None):
         shard = ShardSpec.from_dict(assign["shard"])
         spec = CampaignSpec.from_dict(assign["campaign"])
-        return execute_shard(shard, spec, cache=cache,
-                             fp=assign["fingerprint"])
+        return execute_shard(shard, spec, cache=cache)
 
     def close(self):
         self.stream.close()

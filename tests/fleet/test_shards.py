@@ -125,7 +125,7 @@ class TestExecuteAndMerge:
     def test_merge_accounts_for_missing_shards(self):
         fp = fingerprint()
         shards = partition(FUZZ, fp)
-        aggregates = {s.shard_id: execute_shard(s, FUZZ, fp=fp)
+        aggregates = {s.shard_id: execute_shard(s, FUZZ)
                       for s in shards[:-1]}
         report = merge_report(FUZZ, shards, aggregates, fp)
         assert report["units"] == 8
@@ -137,7 +137,7 @@ class TestExecuteAndMerge:
     def test_merge_rejects_mismatched_aggregate(self):
         fp = fingerprint()
         shards = partition(FUZZ, fp)
-        aggregate = execute_shard(shards[0], FUZZ, fp=fp)
+        aggregate = execute_shard(shards[0], FUZZ)
         with pytest.raises(FleetError, match="carries id"):
             merge_report(FUZZ, shards,
                          {shards[1].shard_id: aggregate}, fp)

@@ -5,7 +5,7 @@ every Hypothesis example is a scenario the campaign runner could also
 have produced — one generator, two consumers. Hypothesis shrinks the
 seed integer; structural shrinking of a failing scenario is the
 reducer's job (`repro.scengen.reducer`), which the campaign runner
-invokes automatically.
+invokes automatically. Used by ``tests/dbr/test_compiled_parity.py``.
 """
 
 from __future__ import annotations

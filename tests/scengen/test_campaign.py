@@ -2,7 +2,9 @@
 
 import json
 
+from repro.harness import cli
 from repro.harness.journal import RunJournal
+from repro.harness.parallel import ParallelRunner
 from repro.harness.resultcache import ResultCache
 from repro.machine.isa import Opcode
 from repro.scengen import (
@@ -40,11 +42,12 @@ class TestResume:
     def test_resume_re_simulates_nothing_journaled(self, tmp_path):
         path = str(tmp_path / "fuzz.jsonl")
         journal = RunJournal(path, resume=False)
-        first = run_campaign(1, 8, quick=True, journal=journal)
+        first = run_campaign(1, 8, quick=True,
+                             runner=ParallelRunner(journal=journal))
         assert first.simulated == 8
 
-        resumed = run_campaign(
-            1, 8, quick=True, journal=RunJournal(path, resume=True))
+        resumed = run_campaign(1, 8, quick=True, runner=ParallelRunner(
+            journal=RunJournal(path, resume=True)))
         assert resumed.simulated == 0
         assert resumed.journal_hits == 8
         assert [p["seed"] for p in resumed.payloads] \
@@ -52,31 +55,59 @@ class TestResume:
 
     def test_partial_journal_resumes_the_tail(self, tmp_path):
         path = str(tmp_path / "fuzz.jsonl")
-        run_campaign(1, 5, quick=True,
-                     journal=RunJournal(path, resume=False))
+        run_campaign(1, 5, quick=True, runner=ParallelRunner(
+            journal=RunJournal(path, resume=False)))
         # Simulate a crash after 5 of 9 scenarios: same seeds, more.
-        resumed = run_campaign(
-            1, 9, quick=True, journal=RunJournal(path, resume=True))
+        resumed = run_campaign(1, 9, quick=True, runner=ParallelRunner(
+            journal=RunJournal(path, resume=True)))
         assert resumed.journal_hits == 5
         assert resumed.simulated == 4
 
     def test_cache_serves_a_second_campaign(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        first = run_campaign(1, 6, quick=True, cache=cache)
-        second = run_campaign(1, 6, quick=True, cache=cache)
+        first = run_campaign(1, 6, quick=True,
+                             runner=ParallelRunner(cache=cache))
+        second = run_campaign(1, 6, quick=True,
+                              runner=ParallelRunner(cache=cache))
         assert first.simulated == 6
         assert second.simulated == 0
         assert second.cache_hits == 6
 
     def test_cache_hits_backfill_the_journal(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
-        run_campaign(1, 4, quick=True, cache=cache)
+        run_campaign(1, 4, quick=True, runner=ParallelRunner(cache=cache))
         path = str(tmp_path / "fuzz.jsonl")
-        run_campaign(1, 4, quick=True, cache=cache,
-                     journal=RunJournal(path, resume=False))
-        resumed = run_campaign(
-            1, 4, quick=True, journal=RunJournal(path, resume=True))
+        run_campaign(1, 4, quick=True, runner=ParallelRunner(
+            cache=cache, journal=RunJournal(path, resume=False)))
+        resumed = run_campaign(1, 4, quick=True, runner=ParallelRunner(
+            journal=RunJournal(path, resume=True)))
         assert resumed.journal_hits == 4
+
+
+class TestRunner:
+    def test_pool_matches_inline(self, tmp_path):
+        inline = run_campaign(1, 4, quick=True,
+                              corpus_dir=str(tmp_path / "one"))
+        pooled = run_campaign(1, 4, quick=True,
+                              runner=ParallelRunner(jobs=2),
+                              corpus_dir=str(tmp_path / "two"))
+        assert pooled.payloads == inline.payloads
+        assert pooled.simulated == inline.simulated == 4
+        assert sorted(p.name for p in (tmp_path / "two").iterdir()) \
+            == sorted(p.name for p in (tmp_path / "one").iterdir())
+
+    def test_cli_runner_flags_reach_every_scenario(self, capsys):
+        """``fuzz --timeout/--jobs`` are the suite runner's flags: a
+        budget no scenario can meet fails every unit, exit 3, and the
+        failure listing names each scenario seed."""
+        status = cli.main(["fuzz", "--seed", "1", "--count", "2",
+                           "--quick", "--no-cache", "--timeout", "0.001",
+                           "--jobs", "2"])
+        err = capsys.readouterr().err
+        assert status == 3
+        assert "2 job(s) failed" in err
+        for seed in (1, 2):
+            assert f"scenario {seed} [timeout] JobTimeoutError" in err
 
 
 class TestFailureHandling:
@@ -100,12 +131,13 @@ class TestFailureHandling:
         path = str(tmp_path / "fuzz.jsonl")
         cache = ResultCache(str(tmp_path / "cache"))
         buggy = run_campaign(1, 2, quick=True, tier_runner=runner,
-                             journal=RunJournal(path, resume=False),
-                             cache=cache, reduce_failing=False)
+                             runner=ParallelRunner(
+                                 journal=RunJournal(path, resume=False),
+                                 cache=cache),
+                             reduce_failing=False)
         assert len(buggy.disagreements) == 2
-        clean = run_campaign(1, 2, quick=True,
-                             journal=RunJournal(path, resume=True),
-                             cache=cache)
+        clean = run_campaign(1, 2, quick=True, runner=ParallelRunner(
+            journal=RunJournal(path, resume=True), cache=cache))
         assert clean.journal_hits == 0 and clean.cache_hits == 0
         assert clean.simulated == 2
         assert not clean.disagreements

@@ -79,10 +79,3 @@ def test_paper_tour(capsys):
     assert "kernel accesses" in out and "0 kernel accesses" not in out
     assert "aliased at" in out
     assert "shared accesses" in out
-
-
-def test_explain_race(capsys):
-    out = run_example("explain_race", capsys=capsys)
-    assert "happens-before analysis" in out
-    assert "RACE" in out
-    assert "schedules explored" in out
