@@ -18,6 +18,18 @@ python -m pytest -x -q
 # timing, so a src/ change that moves or deletes one fails here.
 python -m pytest perfbench -q
 
+# Full-scale digest gate: tier-1 only runs scale 0.05. One untimed pass
+# of the benchmark's parsec-shared workload (8 threads, scale 1.0,
+# ~15 s) checks the compiled tier against the committed interpreter-tier
+# reference digests; its last stdout line is the JSON summary.
+python3 perfbench/run.py --workload parsec-shared --seed 1 --seconds 0 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+summary = json.loads(sys.stdin.read())
+assert summary["correct"] is True and summary["failed"] == 0, summary
+print("full-scale digests ok:", summary["attempted"], "operations")
+'
+
 # Workload linter gate: every bundled workload must be finding-free at
 # the thread counts the suite uses (the CLI exits non-zero on findings).
 for threads in 2 8; do

@@ -39,10 +39,12 @@ class FastTrackTool(Tool):
 
     # ------------------------------------------------------------------
     def instrument_block(self, cached: CachedBlock) -> None:
-        hook = self._access_hook
+        read_hook = self._read_hook
+        write_hook = self._write_hook
         for pos, instr in enumerate(cached.instrs):
             if instr.mem is not None:
-                cached.set_hook(pos, hook)
+                cached.set_hook(pos, write_hook if instr.is_write
+                                else read_hook)
 
     def on_sync_event(self, event) -> None:
         apply_sync_event(self.detector, event)
@@ -52,11 +54,17 @@ class FastTrackTool(Tool):
         return self.detector.races
 
     # ------------------------------------------------------------------
-    def _access_hook(self, thread, instr, ea: int) -> None:
+    # One hook per access direction, chosen by opcode at instrumentation
+    # time, so the per-access path calls the detector entry directly.
+    def _read_hook(self, thread, instr, ea: int) -> None:
         self.shadow.translate(thread.tid, ea)
         self.engine.stats.tool_invocations += 1
-        self.detector.on_access(thread.tid, ea, instr.is_write, instr.uid)
-        return None
+        self.detector.on_read(thread.tid, ea, instr.uid)
+
+    def _write_hook(self, thread, instr, ea: int) -> None:
+        self.shadow.translate(thread.tid, ea)
+        self.engine.stats.tool_invocations += 1
+        self.detector.on_write(thread.tid, ea, instr.uid)
 
     def _on_new_region(self, region) -> None:
         if region.kind in ("static", "heap", "mmap"):

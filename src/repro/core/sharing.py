@@ -440,7 +440,7 @@ class SharingDetector(Tool):
         memory), so every execution of an instrumented indirect
         instruction pays it — including private fast-path executions.
         """
-        self.shadow.translate(thread.tid, ea)
+        region = self.shadow.translate(thread.tid, ea)
         self.counter.charge("aikido_inline", costs.SHARED_STATUS_CHECK)
         if not self.pagestate.is_shared(ea >> PAGE_SHIFT):
             # Private (or not-yet-tracked) page: run the original access.
@@ -459,7 +459,9 @@ class SharingDetector(Tool):
             return None
         self.counter.charge("aikido_inline", costs.MIRROR_REDIRECT
                             + costs.MIRROR_ACCESS_PENALTY)
-        return self.mirror.mirror_address(ea)
+        # The region Umbra's translation already found is the one the
+        # mirror alias lives in: no second region lookup.
+        return region.mirror_address(ea)
 
     # ------------------------------------------------------------------
     # protection plumbing

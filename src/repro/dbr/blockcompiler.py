@@ -11,7 +11,7 @@ retired instruction. It is the reference semantics.
 
 The *specialized* form (the compiled tier) pays most of those costs
 once, at compile time: when the engine first enters a cached block it
-classifies every position into one of four step kinds —
+classifies every position into one of five step kinds —
 
 ``SEG``
     a maximal run of pure-ALU, unhooked instructions (LI/MOV/ADD/SUB/
@@ -33,6 +33,18 @@ classifies every position into one of four step kinds —
     path would — and routes page faults through ``kernel.repair_fault``
     with the not-retired/refetch contract intact.
 
+``HOOK``
+    a *hooked* LOAD/STORE/ATOMIC_ADD: the instrumented access with the
+    analysis inline (paper Fig. 4). The same closure body as ``MEM``,
+    except that it computes the address from the *live*
+    ``instr.mem.disp``, calls the *live* ``hooks[ii]`` with it and
+    applies the returned override before the TLB probe, and counts
+    ``instrumented_execs`` on retire. Reading both live means AikidoSD's
+    runtime hook swap and in-place mirror patch (seeded
+    direct-patching) need no recompile. Hooks never enter the kernel,
+    so, as for ``MEM``, the yield check is live only after this
+    instruction's own fault repair.
+
 ``CTL``
     an unhooked control transfer (JMP/BZ/BNZ/BLT/BGE/CALL/RET) or MOD,
     specialized into a ``fn(thread) -> bool`` closure (True = control
@@ -45,11 +57,10 @@ classifies every position into one of four step kinds —
     provably dead and skipped.
 
 ``GEN``
-    everything else (kernel actions, HALT, and *every* hooked
-    position): the engine runs the interpreter body for that one
-    instruction, reading ``hooks[ii]`` and ``instr.mem`` live so
-    runtime hook swaps (AikidoSD's seeded direct-patching) need no
-    recompile. Only the cycle charge is precomputed.
+    everything else — kernel actions and HALT (and a hook on a
+    non-memory instruction, which no tool installs): the engine runs
+    the interpreter body for that one instruction. Only the cycle
+    charge is precomputed.
 
 A :class:`CompiledBlock` stores the engine's ``overhead_per_instr`` it
 was baked with; the engine recompiles when the installed stack changes
@@ -65,6 +76,7 @@ generic form (see ``tests/dbr/test_compiled_parity.py``).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from repro.errors import InvalidInstructionError
@@ -80,6 +92,7 @@ SEG = 0
 MEM = 1
 GEN = 2
 CTL = 3
+HOOK = 4
 #: Statically-elided fused run (``--static-elide``): superimposed over a
 #: maximal run of SEG positions and unhooked memory accesses the elision
 #: plan proved race-free/private. ``(ELI, fast_fn, count, fallback)``
@@ -88,7 +101,7 @@ CTL = 3
 #: prefix accounting) to the base step at the failing position, and
 #: ``fallback`` is the base step the position keeps for budget tails,
 #: pending yields and guard misses at position 0.
-ELI = 4
+ELI = 5
 
 #: Opcodes eligible for segment fusion: register-file-only semantics,
 #: cannot fault, cannot trap, cannot raise before charging.
@@ -468,8 +481,92 @@ def _ctl_closure(instr, engine, charge: int, block_index: int,
     return fn
 
 
-def _mem_closure(instr, engine, charge: int, next_ii: int) -> Callable:
-    """Bind one unhooked memory instruction into ``fn(thread) -> bool``.
+#: The one memory-access body, shared by both memory step kinds and all
+#: three memory opcodes: ``{address}`` computes ``ea`` (and, for a HOOK
+#: step, runs the hook and applies its override), then the TLB
+#: micro-cache probe, the ``translate`` fallback with the fault-repair
+#: contract, ``{effect}`` and the retire accounting. Each variant is
+#: instantiated once; :func:`_mem_closure` binds the operands. They bind
+#: as parameter defaults, not closure cells: fast locals to read, and a
+#: step is two GC-tracked objects (function and defaults tuple) instead
+#: of one more per operand, which keeps cyclic-GC passes rarer.
+_ACCESS_SOURCE = """\
+def bind(instr, hooks, ii, base, disp, rd, rs1, charge, next_ii,
+         translate, kernel, read_word, write_word, counter, stats):
+    def step(thread, instr=instr, hooks=hooks, ii=ii, mem=instr.mem,
+             base=base, disp=disp, rd=rd, rs1=rs1, charge=charge,
+             next_ii=next_ii, translate=translate, kernel=kernel,
+             read_word=read_word, write_word=write_word,
+             counter=counter, stats=stats):
+        regs = thread.regs
+{address}
+        tlb = thread.tlb
+        pb = tlb.{fast_map}.get(ea >> {page_shift})
+        if pb is not None:
+            tlb.hits += 1
+            tlb.fast_hits += 1
+            paddr = pb | (ea & {page_mask})
+        else:
+            tlb.fast_misses += 1
+            try:
+                paddr = translate(thread, ea, {is_write})
+            except PageFault as fault:
+                kernel.repair_fault(thread, fault)
+                return False
+{effect}
+        counter.instr_cycles += charge
+        stats.instructions += 1
+        stats.memory_refs += 1
+{retire}
+        thread.pc[1] = next_ii
+        return True
+    return step
+"""
+
+_ACCESS_EFFECTS = {
+    Opcode.LOAD: ("fast_ro", False, ["regs[rd] = read_word(paddr)"]),
+    Opcode.STORE: ("fast_rw", True, ["write_word(paddr, regs[rs1])"]),
+    Opcode.ATOMIC_ADD: ("fast_rw", True, [
+        "old = read_word(paddr)",
+        f"write_word(paddr, (old + regs[rs1]) & {_MASK64})",
+        "if rd is not None:",
+        "    regs[rd] = old"]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _access_binder(op, hooked: bool, direct: bool) -> Callable:
+    """exec() one variant of :data:`_ACCESS_SOURCE`, on first use."""
+    fast_map, is_write, effect = _ACCESS_EFFECTS[op]
+    # A HOOK step reads the displacement live: AikidoSD patches it in
+    # place when it redirects a direct access to the mirror.
+    disp = "mem.disp" if hooked else "disp"
+    address = [f"ea = {disp}" if direct
+               else f"ea = (regs[base] + {disp}) & {_MASK64}"]
+    retire = []
+    if hooked:
+        # The hook is read live too (AikidoSD swaps it at runtime). A
+        # hook that rewrites the operand returns the new address.
+        address += ["override = hooks[ii](thread, instr, ea)",
+                    "if override is not None:",
+                    "    ea = override"]
+        retire = ["stats.instrumented_execs += 1"]
+
+    def indent(lines):
+        return "\n".join("        " + line for line in lines)
+
+    source = _ACCESS_SOURCE.format(
+        address=indent(address), effect=indent(effect),
+        retire=indent(retire), fast_map=fast_map, is_write=is_write,
+        page_shift=PAGE_SHIFT, page_mask=_PAGE_MASK)
+    namespace: dict = {}
+    exec(compile(source, "<blockcompiler:mem>", "exec"),
+         {"PageFault": PageFault}, namespace)
+    return namespace["bind"]
+
+
+def _mem_closure(cached, ii: int, engine, charge: int) -> Callable:
+    """Bind the memory instruction at ``ii`` into ``fn(thread) -> bool``.
 
     Returns True when the instruction retired (charge applied, stats and
     pc advanced, so the caller only counts it against the budget and
@@ -479,98 +576,21 @@ def _mem_closure(instr, engine, charge: int, next_ii: int) -> Callable:
     arm. The fast path resolves the translation from the thread's TLB
     micro-cache; a fast hit stands in for a successful ``lookup`` +
     permission check, so it books a regular TLB hit too.
+
+    A hooked position (a HOOK step) first calls ``hooks[ii]`` with the
+    effective address computed from the live displacement, on every
+    attempt, exactly like the interpreter, and counts
+    ``instrumented_execs`` on retire only.
     """
-    op = instr.op
+    instr = cached.instrs[ii]
     mem = instr.mem
-    base = mem.base
-    disp = mem.disp
-    rd = instr.rd
-    rs1 = instr.rs1
-    memory = engine.cpu.memory
-    translate = engine.cpu.translate
-    kernel = engine.kernel
-    counter = engine.counter
-    stats = engine.stats
-    read_word = memory.read_word
-    write_word = memory.write_word
-
-    if op is Opcode.LOAD:
-        def fn(thread):
-            regs = thread.regs
-            ea = disp if base is None else (regs[base] + disp) & _MASK64
-            tlb = thread.tlb
-            pb = tlb.fast_ro.get(ea >> PAGE_SHIFT)
-            if pb is not None:
-                tlb.hits += 1
-                tlb.fast_hits += 1
-                paddr = pb | (ea & _PAGE_MASK)
-            else:
-                tlb.fast_misses += 1
-                try:
-                    paddr = translate(thread, ea, False)
-                except PageFault as fault:
-                    kernel.repair_fault(thread, fault)
-                    return False
-            regs[rd] = read_word(paddr)
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            stats.memory_refs += 1
-            thread.pc[1] = next_ii
-            return True
-        return fn
-
-    if op is Opcode.STORE:
-        def fn(thread):
-            regs = thread.regs
-            ea = disp if base is None else (regs[base] + disp) & _MASK64
-            tlb = thread.tlb
-            pb = tlb.fast_rw.get(ea >> PAGE_SHIFT)
-            if pb is not None:
-                tlb.hits += 1
-                tlb.fast_hits += 1
-                paddr = pb | (ea & _PAGE_MASK)
-            else:
-                tlb.fast_misses += 1
-                try:
-                    paddr = translate(thread, ea, True)
-                except PageFault as fault:
-                    kernel.repair_fault(thread, fault)
-                    return False
-            write_word(paddr, regs[rs1])
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            stats.memory_refs += 1
-            thread.pc[1] = next_ii
-            return True
-        return fn
-
-    # ATOMIC_ADD
-    def fn(thread):
-        regs = thread.regs
-        ea = disp if base is None else (regs[base] + disp) & _MASK64
-        tlb = thread.tlb
-        pb = tlb.fast_rw.get(ea >> PAGE_SHIFT)
-        if pb is not None:
-            tlb.hits += 1
-            tlb.fast_hits += 1
-            paddr = pb | (ea & _PAGE_MASK)
-        else:
-            tlb.fast_misses += 1
-            try:
-                paddr = translate(thread, ea, True)
-            except PageFault as fault:
-                kernel.repair_fault(thread, fault)
-                return False
-        old = read_word(paddr)
-        write_word(paddr, (old + regs[rs1]) & _MASK64)
-        if rd is not None:
-            regs[rd] = old
-        counter.instr_cycles += charge
-        stats.instructions += 1
-        stats.memory_refs += 1
-        thread.pc[1] = next_ii
-        return True
-    return fn
+    cpu = engine.cpu
+    bind = _access_binder(instr.op, cached.hooks[ii] is not None,
+                          mem.base is None)
+    return bind(instr, cached.hooks, ii, mem.base, mem.disp, instr.rd,
+                instr.rs1, charge, ii + 1, cpu.translate, engine.kernel,
+                cpu.memory.read_word, cpu.memory.write_word,
+                engine.counter, engine.stats)
 
 
 def _eli_fast_fn(instrs, start: int, engine, overhead: int) -> Callable:
@@ -695,7 +715,7 @@ def compile_block(cached, engine, generic: bool = False) -> CompiledBlock:
 
     Classification is stable for the life of the ``CachedBlock``: hooks
     are only *added* through a flush-and-rebuild (AikidoSD's re-JIT), and
-    runtime hook swaps replace the callable at an already-hooked (GEN)
+    runtime hook swaps replace the callable at an already-hooked (HOOK)
     position in place.
     """
     overhead = engine.overhead_per_instr
@@ -736,9 +756,10 @@ def compile_block(cached, engine, generic: bool = False) -> CompiledBlock:
                                 tuple(prefixes), j)
             i = j
             continue
-        if hooks[i] is None and instr.op in MEMORY_OPCODES:
+        if instr.op in MEMORY_OPCODES:
             charge = BASE_COST[instr.op] + overhead
-            steps[i] = (MEM, _mem_closure(instr, engine, charge, i + 1))
+            steps[i] = (MEM if hooks[i] is None else HOOK,
+                        _mem_closure(cached, i, engine, charge))
         elif hooks[i] is None and instr.op in CTL_OPCODES:
             charge = BASE_COST[instr.op] + overhead
             steps[i] = (CTL, _ctl_closure(instr, engine, charge,

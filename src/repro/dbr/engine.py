@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro import costs
-from repro.dbr.blockcompiler import CTL, ELI, GEN, MEM, SEG, compile_block
+from repro.dbr.blockcompiler import CTL, ELI, HOOK, MEM, SEG, compile_block
 from repro.dbr.codecache import CodeCache
 from repro.dbr.superblock import (EXIT_COMPLETE, EXIT_RESUME, EXIT_STALE,
                                   MIN_INSTRUCTIONS, RETRY_EXECUTIONS,
@@ -506,13 +506,14 @@ class DBREngine(ExecutionDriver):
                     stats.instructions += remaining
                     pc[1] = ii + remaining
                 continue
-            if kind == MEM:
+            if kind == MEM or kind == HOOK:
                 if step[1](thread):
                     executed += 1
-                    # The closure never enters the kernel on the retire
-                    # path, so the yield flag can only be pending from a
-                    # chaos preempt during this instruction's own fault
-                    # repair — only then is the check live.
+                    # Neither the closure nor a hook enters the kernel
+                    # on the retire path, so the yield flag can only be
+                    # pending from a chaos preempt during this
+                    # instruction's own fault repair — only then is the
+                    # check live.
                     if pending_yield and kernel.consume_yield():
                         return "yield"
                     pending_yield = False
@@ -531,9 +532,11 @@ class DBREngine(ExecutionDriver):
                     cur_bi = -1
                 executed += 1
                 continue
-            # GEN: the interpreter body for one instruction.
-            # hooks[ii] and instr.mem are read live — AikidoSD swaps the
-            # hook and patches the displacement in place at runtime.
+            # GEN: the interpreter body for one instruction — every
+            # position of the generic form; in the specialized form only
+            # kernel actions and HALT. hooks[ii] and instr.mem are read
+            # live — AikidoSD swaps the hook and patches the
+            # displacement in place at runtime.
             instr = cached.instrs[ii]
             hook = cached.hooks[ii]
             try:

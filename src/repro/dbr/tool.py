@@ -12,7 +12,11 @@ specified instrumentation tool". Tools see two things:
 
 Instrumentation hooks have the signature ``hook(thread, instr, app_ea)``
 and may return a replacement effective address (AikidoSD returns mirror
-addresses) or None to run the access unchanged.
+addresses) or None to run the access unchanged. A hook runs inline,
+before its access translates, on every attempt (a faulting access
+retries and re-runs it). It must not enter the kernel, and a hook that
+patches its own instruction's displacement in place must return the
+new address.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ A worker is a plain process that dials the coordinator, registers with
 shard via the shared :func:`~repro.fleet.shards.execute_shard` path
 (consulting the multi-writer-safe result cache), stream ``heartbeat``
 frames from a side thread while the shard runs, and ship the aggregate
-back as one ``result`` frame. Workers are stateless by design — all
-durable state lives in the coordinator's journal and the result cache — so
-killing one at any instruction loses nothing but in-flight work.
+back as one ``result`` frame. An ``assign`` whose cost-model
+fingerprint differs from the worker's own is refused with a
+``shard_error`` before anything executes. Workers are stateless by
+design — all durable state lives in the coordinator's journal and the
+result cache — so killing one at any instruction loses nothing but
+in-flight work.
 
 **Chaos-on-the-harness.** :class:`FleetChaosPlan` follows the simulator
 chaos discipline (:mod:`repro.chaos.plan`): plain data, a seed, and
@@ -45,6 +48,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.fleet.protocol import FrameError, FrameStream
 from repro.fleet.shards import CampaignSpec, ShardSpec, execute_shard
+from repro.harness.parallel import fingerprint
 from repro.harness.resultcache import ResultCache
 
 #: Environment variables the coordinator sets for spawned workers.
@@ -173,6 +177,7 @@ def worker_main(address: Tuple[str, int], *,
         chaos = FleetChaosPlan.from_env()
     streams = (_ChaosStreams(chaos, worker_index)
                if chaos is not None and chaos.active() else None)
+    own_fp = fingerprint()
     try:
         sock = socket.create_connection(address, timeout=connect_timeout)
     except OSError as exc:
@@ -199,6 +204,19 @@ def worker_main(address: Tuple[str, int], *,
             if frame["type"] != "assign":
                 return 2
             shard = ShardSpec.from_dict(frame["shard"])
+            if frame.get("fingerprint") != own_fp:
+                # Outcomes computed under another cost model or version
+                # must never be merged: refuse without executing, so
+                # the coordinator requeues (and finally quarantines)
+                # the shard.
+                theirs = str(frame.get("fingerprint"))[:12]
+                stream.send({"type": "shard_error",
+                             "worker_id": worker_id,
+                             "shard_id": shard.shard_id,
+                             "message": f"fingerprint mismatch: "
+                                        f"coordinator {theirs}, "
+                                        f"worker {own_fp[:12]}"})
+                continue
             spec = CampaignSpec.from_dict(frame["campaign"])
             beat = _Heartbeat(stream, worker_id, shard.shard_id,
                               heartbeat_s)

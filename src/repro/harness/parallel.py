@@ -72,7 +72,7 @@ from repro.harness.runner import MODES, RunResult, run_mode
 #: Failure kinds the runner will retry (transient by nature). Simulated
 #: errors (deadlock, segfault, invariant violation) are deterministic —
 #: retrying replays the identical failure, so they fail fast instead.
-_RETRYABLE_KINDS = frozenset({"timeout", "exception", "worker-lost"})
+_RETRYABLE_KINDS = frozenset({"timeout", "exception"})
 
 
 class Unit:
@@ -256,7 +256,7 @@ class JobFailure:
     Takes a failed unit's slot in the batch result list so one bad run no
     longer costs the suite every *good* run. ``job`` is the failed
     :class:`Unit` (a :class:`Job` for suite runs). ``kind`` is one of
-    ``timeout`` / ``simulated`` / ``exception`` / ``worker-lost``;
+    ``timeout`` / ``simulated`` / ``exception``;
     ``address`` / ``thread_id`` / ``invariant`` carry the structured
     fields of :class:`~repro.errors.SegmentationFaultError` and
     :class:`~repro.errors.InvariantViolationError` when present.

@@ -30,15 +30,20 @@ import pytest
 from hypothesis import given, settings
 
 from repro import costs
+from repro.analyses.fasttrack.tool import FastTrackTool
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan
 from repro.core.config import AikidoConfig
+from repro.dbr.blockcompiler import GEN, HOOK, compile_block
 from repro.dbr.engine import DBREngine
 from repro.errors import InvariantViolationError, ReproError
 from repro.guestos.kernel import Kernel
+from repro.guestos.signals import HandlerResult
 from repro.harness import runner
 from repro.harness.runner import build_aikido_system, run_mode
 from repro.machine.asm import ProgramBuilder
+from repro.machine.isa import MEMORY_OPCODES
+from repro.machine.paging import PAGE_SHIFT
 from repro.machine.tlb import TLB
 from repro.scengen.scenario import render
 from tests.scengen.strategies import scenario_irs
@@ -154,6 +159,21 @@ class TestWorkloadParity:
             seed=2, quantum=100,
             config=AikidoConfig(chaos=ChaosPlan.single(
                 "preempt", seed=chaos_seed, intensity=0.3)))
+        assert interp[0] == "ok", interp
+        assert superblock == compiled == interp
+
+    @pytest.mark.parametrize("config", [
+        lambda: AikidoConfig(static_prepass=True),
+        lambda: AikidoConfig(mirror_pages=False),
+    ], ids=["static_prepass", "no_mirror_pages"])
+    @pytest.mark.parametrize("name", ["bodytrack", "streamcluster"])
+    def test_runtime_hook_swap_run_bit_identical(self, name, config):
+        # Statically seeded direct accesses swap their hook and patch
+        # their displacement in place at runtime: a compiled step that
+        # bound either at compile time diverges here.
+        superblock, compiled, interp = run_all_tiers(
+            lambda: build_benchmark(name, threads=2, scale=0.05),
+            seed=2, quantum=100, config=config())
         assert interp[0] == "ok", interp
         assert superblock == compiled == interp
 
@@ -331,6 +351,80 @@ class TestClosureInvalidation:
         delivered = system.chaos.as_dict()["delivered"]
         assert delivered.get("codecache_flush", 0) > 0
         assert system.engine.codecache.closures_dropped > 0
+
+
+# ----------------------------------------------------------------------
+# hooked memory accesses
+# ----------------------------------------------------------------------
+_WRITABLE = 0b010  # the PTE write-permission bit
+
+
+def _assert_hooked_positions_compile_to_hook_steps(engine):
+    hooked = 0
+    for cached in engine.codecache._blocks.values():
+        if cached.compiled is None:
+            continue
+        steps = cached.compiled.steps
+        for ii, hook in enumerate(cached.hooks):
+            if hook is None:
+                continue
+            hooked += 1
+            assert cached.instrs[ii].op in MEMORY_OPCODES
+            assert steps[ii][0] == HOOK
+        generic = compile_block(cached, engine, generic=True)
+        assert {step[0] for step in generic.steps} == {GEN}
+    assert hooked > 0
+
+
+class TestHookStep:
+    def test_fasttrack_stack_compiles_hook_steps(self):
+        kernel = Kernel(seed=2, quantum=100, jitter=0.1)
+        kernel.create_process(
+            build_benchmark("canneal", threads=2, scale=0.05))
+        engine = DBREngine(kernel)
+        engine.attach_tool(FastTrackTool(kernel))
+        kernel.run()
+        _assert_hooked_positions_compile_to_hook_steps(engine)
+
+    def test_aikido_stack_compiles_hook_steps(self):
+        # static_prepass seeds direct accesses too, so both the indirect
+        # and the (seeded and patched) direct hooks are present.
+        system = build_aikido_system(
+            build_benchmark("canneal", threads=2, scale=0.05),
+            seed=2, quantum=100, config=AikidoConfig(static_prepass=True))
+        system.run()
+        _assert_hooked_positions_compile_to_hook_steps(system.engine)
+
+    @pytest.mark.parametrize("compile_blocks", [True, False])
+    def test_faulting_hooked_access_counted_once(self, compile_blocks):
+        b = ProgramBuilder()
+        data = b.segment("data", 64)
+        b.label("main")
+        b.li(4, data)
+        b.li(5, 7)
+        b.store(5, base=4, disp=8)
+        b.halt()
+        kernel = Kernel(seed=0, quantum=100, jitter=0.0)
+        process = kernel.create_process(b.build())
+        engine = DBREngine(kernel, compile_blocks=compile_blocks)
+        engine.attach_tool(FastTrackTool(kernel))
+        # Write-protect the data page; the first store faults, the
+        # router restores the page and the store retries.
+        vpn = data >> PAGE_SHIFT
+        flags = process.page_table.lookup(vpn).flags
+        process.page_table.set_flags(vpn, flags & ~_WRITABLE)
+
+        def router(thread, info):
+            process.page_table.set_flags(vpn, flags)
+            return HandlerResult.RESUME
+
+        engine.fault_router = router
+        engine.register_master_signal_handler()
+        kernel.run()
+        assert kernel.faults_seen == 1
+        assert engine.stats.tool_invocations == 2  # once per attempt
+        assert engine.stats.instrumented_execs == 1
+        assert engine.stats.memory_refs == 1
 
 
 # ----------------------------------------------------------------------
